@@ -147,14 +147,16 @@ def inverse(w: AffinePerm) -> AffinePerm:
     >>> inverse(shift(4)).window
     (0, 1, 2, 3)
     """
-    n = w.n
-    win = [0] * n
+    return AffinePerm(w.n, _inverse_window(w.window, w.n))
+
+
+def _inverse_window(win: tuple[int, ...], n: int) -> tuple[int, ...]:
+    out = [0] * n
     for i in range(1, n + 1):
-        v = w.window[i - 1]
-        q, r = divmod(v - 1, n)
+        q, r = divmod(win[i - 1] - 1, n)
         # w(i) = v means inverse(v) = i, so inverse(r+1) = i - q*n
-        win[r] = i - q * n
-    return AffinePerm(n, tuple(win))
+        out[r] = i - q * n
+    return tuple(out)
 
 
 def conjugate_by_shift(w: AffinePerm, power: int = 1) -> AffinePerm:

@@ -79,20 +79,25 @@ def star_right(w: AffinePerm, i: int) -> Optional[AffinePerm]:
     >>> format_window(star_right(w, 9))
     '[-7,3,10,-5,14,-3,18,7,8]'
     """
-    n = w.n
+    win = _star_window(w.window, w.n, (i - 1) % w.n + 1)
+    return None if win is None else AffinePerm(w.n, win)
+
+
+def _star_window(win: tuple[int, ...], n: int, i: int) -> Optional[tuple[int, ...]]:
+    """The window of the right star operation at residue i in 1..n, or None
+    when undefined."""
     if n < 3:
         return None
-    i = (i - 1) % n + 1
-    a, b = w(i), w(i + 1)
-    lo, hi = min(a, b), max(a, b)
-    if not (lo < w(i - 1) < hi or lo < w(i + 2) < hi):
+    a = win[i - 1]
+    b = win[i % n] + (n if i == n else 0)  # w(i + 1)
+    left = win[(i - 2) % n] - (n if i == 1 else 0)  # w(i - 1)
+    right = win[(i + 1) % n] + (n if i >= n - 1 else 0)  # w(i + 2)
+    lo, hi = (a, b) if a < b else (b, a)
+    if not (lo < left < hi or lo < right < hi):
         return None
-    win = list(w.window)
     if i < n:
-        win[i - 1], win[i] = win[i], win[i - 1]
-    else:
-        win[n - 1], win[0] = win[0] + n, win[n - 1] - n
-    return AffinePerm(n, tuple(win))
+        return win[: i - 1] + (b, a) + win[i + 1 :]
+    return (a - n,) + win[1 : n - 1] + (b,)
 
 
 def star_left(w: AffinePerm, i: int) -> Optional[AffinePerm]:

@@ -24,7 +24,6 @@ from .tabloids import format_shape, parse_shape
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ambc", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--jobs", type=int, default=1, help="workers for table generation")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ambc-forward", help="window -> (P, Q, rho) triple")
@@ -90,17 +89,7 @@ def _cmd_backward(args) -> int:
 def _cmd_involutions(args) -> int:
     lam = parse_shape(args.shape)
     n = _check_n(args.n, sum(lam))
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        from .tabloids import enumerate_tabloids
-
-        tabloids = list(enumerate_tabloids(lam, n))
-        with Pool(args.jobs) as pool:
-            invs = pool.map(_psi_diag, [(t.rows, n) for t in tabloids])
-    else:
-        invs = distinguished_involutions(lam, n)
-    windows = sorted(w.window for w in invs)
+    windows = sorted(w.window for w in distinguished_involutions(lam, n))
     if args.format == "json":
         print(json.dumps({"count": len(windows), "windows": [list(w) for w in windows]}))
     else:
@@ -108,15 +97,6 @@ def _cmd_involutions(args) -> int:
             print(format_window(AffinePerm(n, w)))
         print(f"count {len(windows)}")
     return 0
-
-
-def _psi_diag(job) -> AffinePerm:
-    from .matrixball import psi
-    from .tabloids import Tabloid
-
-    rows, n = job
-    t = Tabloid(n, rows)
-    return psi(t, t, (0,) * len(rows))
 
 
 def _cmd_jmult(args) -> int:

@@ -17,14 +17,10 @@ import re
 from typing import Sequence
 
 from .affine import AffinePerm, parse_window, format_window
+from .cells import distinguished_involutions
 from .matrixball import phi, psi
-from .repring import FWeight, fweight_from_rows
-from .tabloids import (
-    Tabloid,
-    enumerate_tabloids,
-    offset_constants,
-    rev_lambda,
-)
+from .repring import FWeight, fweight_from_rows, tensor_f
+from .tabloids import Tabloid, offset_constants, rev_lambda
 
 JElement = dict  # AffinePerm -> nonzero integer coefficient
 
@@ -56,21 +52,16 @@ def t_multiply(u: AffinePerm, v: AffinePerm) -> JElement:
     """
     if u.n != v.n:
         raise ValueError(f"period mismatch: {u.n} != {v.n}")
-    tu, tv = phi(u), phi(v)
-    lam = tu.shape()
-    if lam != tv.shape() or tu.q != tv.p:
+    pu, qu, wu = upsilon(u)
+    pv, qv, wv = upsilon(v)
+    if qu != pv:  # tabloids of different shapes never agree
         return {}
-    s_uv = offset_constants(tu.p, tu.q)
-    s_vw = offset_constants(tv.p, tv.q)
-    wu = fweight_from_rows(lam, rev_lambda(lam, tuple(r - c for r, c in zip(tu.rho, s_uv))))
-    wv = fweight_from_rows(lam, rev_lambda(lam, tuple(r - c for r, c in zip(tv.rho, s_vw))))
-    from .repring import tensor_f
-
-    s_out = offset_constants(tu.p, tv.q)
+    lam = pu.shape()
+    s_out = offset_constants(pu, qv)
     out: JElement = {}
     for weight, mult in tensor_f(wu, wv).items():
         rho = rev_lambda(lam, weight.flatten())
-        w_out = psi(tu.p, tv.q, tuple(a + b for a, b in zip(s_out, rho)))
+        w_out = psi(pu, qv, tuple(a + b for a, b in zip(s_out, rho)))
         out[w_out] = out.get(w_out, 0) + mult
     return out
 
@@ -93,8 +84,7 @@ def unit(lam: Sequence[int], n: int) -> JElement:
     The unit of the cell block of shape lam: the sum of t_w over the
     distinguished involutions of the cell.
     """
-    zero = (0,) * len(tuple(lam))
-    return {psi(t, t, zero): 1 for t in enumerate_tabloids(lam, n)}
+    return {w: 1 for w in distinguished_involutions(lam, n)}
 
 
 def pgl_member(w: AffinePerm) -> bool:

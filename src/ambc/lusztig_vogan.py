@@ -78,9 +78,7 @@ def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:
     lam = check_partition(lam)
     if weight.shape != lam:
         raise ValueError(f"weight shape {weight.shape} != {lam}")
-    can = canonical_tabloid(lam)
-    w = psi(can, can, rev_lambda(lam, weight.flatten()))
-    return window_diagonals(w)
+    return window_diagonals(lv_window(lam, weight))
 
 
 def lv_window(lam: Sequence[int], weight: FWeight) -> AffinePerm:

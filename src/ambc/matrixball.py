@@ -87,6 +87,18 @@ class Stream:
         return PartialPerm(self.n, tuple(win))
 
 
+@lru_cache(maxsize=300000)
+def _stream_pairs_for(domain: tuple, codomain: tuple, altitude: int, n: int):
+    """Window balls of the stream from sorted residue tuples (cached: the
+    backward map asks for the same streams again and again)."""
+    d = len(domain)
+    pairs = []
+    for i in range(d):
+        q, r = divmod(i + altitude, d)
+        pairs.append((domain[i], codomain[r] + n * q))
+    return tuple(pairs)
+
+
 def make_stream(domain: Sequence[int], codomain: Sequence[int], altitude: int, n: int) -> Stream:
     """
     The unique stream mapping the residue classes of ``domain`` onto those of
@@ -103,23 +115,7 @@ def make_stream(domain: Sequence[int], codomain: Sequence[int], altitude: int, n
         raise ValueError(f"residues must lie in 1..{n}: {a}, {b}")
     if len(set(a)) != len(a) or len(set(b)) != len(b):
         raise ValueError(f"residues must be distinct: {a}, {b}")
-    d = len(a)
-    pairs = []
-    for i in range(d):
-        q, r = divmod(i + altitude, d)
-        pairs.append((a[i], b[r] + n * q))
-    return Stream(n, tuple(pairs))
-
-
-def _win_of_pairs(pairs, n: int) -> Win:
-    win: list[Optional[int]] = [None] * n
-    for x, y in pairs:
-        q = (x - 1) // n
-        xx, yy = x - q * n, y - q * n
-        if win[xx - 1] is not None:
-            raise InvariantError(f"window position {xx} produced twice: {pairs}")
-        win[xx - 1] = yy
-    return tuple(win)
+    return Stream(n, _stream_pairs_for(a, b, altitude, n))
 
 
 # --- channels ----------------------------------------------------------------
@@ -297,45 +293,55 @@ def southwest_channel(w: PartialPerm) -> Stream:
 # --- forward step -------------------------------------------------------------
 
 
-def _forward_zigzags(win: Win, n: int):
-    """Zigzags of the forward step: a list of ball lists, one per label class,
-    each sorted by x descending (values then ascend)."""
-    channel = _southwest_channel(win, n)
-    d = len(channel)
-    labels = _channel_labels(win, n, channel)
-    zigzags = []
-    for m in range(d):
+def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
+    """Group labelled balls into one zigzag per label class first..first+d-1:
+    the translates of the balls carrying that label, sorted by x descending
+    (values then ascend).  A class without balls gives an empty list."""
+    m = len(xs)
+    out = []
+    for target in range(first, first + d):
         balls = []
-        for x, g in labels.items():
-            k, rem = divmod(m - g, d)
-            if rem:
-                continue
-            balls.append((x + k * n, win[x - 1] + k * n))
+        for t in range(m):
+            k, rem = divmod(target - lab[t], d)
+            if not rem:
+                balls.append((xs[t] + k * n, vs[t] + k * n))
         balls.sort(reverse=True)
-        if balls and any(balls[i][1] >= balls[i + 1][1] for i in range(len(balls) - 1)):
-            raise InvariantError(f"zigzag balls out of order: {balls}")
-        if balls:
-            zigzags.append(balls)
-    return zigzags
+        for t in range(len(balls) - 1):
+            if balls[t][1] >= balls[t + 1][1]:
+                raise InvariantError(f"zigzag balls out of order: {balls}")
+        out.append(balls)
+    return out
+
+
+def _forward_zigzags(win: Win, n: int):
+    """Zigzags of the forward step: a list of ball lists, one per nonempty
+    label class, each sorted by x descending (values then ascend)."""
+    channel = _southwest_channel(win, n)
+    labels = _channel_labels(win, n, channel)
+    xs = list(labels)
+    vs = [win[x - 1] for x in xs]
+    lab = [labels[x] for x in xs]
+    return [balls for balls in _zigzags(xs, vs, lab, n, len(channel), 0) if balls]
 
 
 def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
-    new_pairs = []
-    stream_pairs = []
+    # each zigzag leaves its outer corner-posts and one stream ball
+    out: list = [None] * n
+    stream: list = [None] * n
     for balls in _forward_zigzags(win, n):
-        xs = [x for x, _ in balls]
-        ys = [y for _, y in balls]
-        new_pairs.extend((xs[i], ys[i + 1]) for i in range(len(balls) - 1))
-        stream_pairs.append((xs[-1], ys[0]))
-    return _win_of_pairs(new_pairs, n), tuple(sorted(_normalize_pairs(stream_pairs, n)))
+        for t in range(len(balls) - 1):
+            _place(out, n, balls[t][0], balls[t + 1][1])
+        _place(stream, n, balls[-1][0], balls[0][1])
+    return tuple(out), tuple((x, y) for x, y in enumerate(stream, start=1) if y is not None)
 
 
-def _normalize_pairs(pairs, n: int):
-    out = []
-    for x, y in pairs:
-        q = (x - 1) // n
-        out.append((x - q * n, y - q * n))
-    return out
+def _place(out: list, n: int, x: int, y: int) -> None:
+    """Put the ball (x, y) into the window ``out`` as its translate over 1..n."""
+    q = (x - 1) // n
+    r = x - q * n - 1
+    if out[r] is not None:
+        raise InvariantError(f"window position {r + 1} produced twice")
+    out[r] = y - q * n
 
 
 def forward_step(w: PartialPerm) -> tuple[PartialPerm, Stream]:
@@ -404,26 +410,10 @@ def phi(w: AffinePerm) -> DomTriple:
 # --- backward step ------------------------------------------------------------
 
 
-def _bk_initial(win: Win, n: int, spairs) -> dict[int, int]:
-    d = len(spairs)
-    labels = {}
-    for i, v in enumerate(win):
-        if v is None:
-            continue
-        x = i + 1
-        best = None
-        for j, (sx, sy) in enumerate(spairs, start=1):
-            k = min((x - sx - 1) // n, (v - sy - 1) // n)
-            cand = j + k * d
-            best = cand if best is None else max(best, cand)
-        labels[x] = best
-    return labels
-
-
 def _settle_lists(xs: list, vs: list, lab: list, n: int, d: int) -> None:
     """Decrement loop on parallel position/value/label lists (in place) until
     the numbering is monotone along strict northwest order; candidates are
-    scanned in increasing window x."""
+    scanned in list order."""
     m = len(xs)
     for _ in range(_BK_ITERATION_CAP):
         pick = -1
@@ -458,12 +448,26 @@ def _settle_lists(xs: list, vs: list, lab: list, n: int, d: int) -> None:
     raise InvariantError("backward numbering failed to stabilize")
 
 
-def _bk_settle(win: Win, n: int, d: int, labels: dict[int, int]) -> dict[int, int]:
-    xs = sorted(labels)
-    vs = [win[x - 1] for x in xs]
-    lab = [labels[x] for x in xs]
+def _bk_labels(xs: list, vs: list, spairs, n: int) -> list:
+    """The stabilized backward labels of the balls (xs[t], vs[t]) against the
+    stream balls ``spairs``: seed each ball with the largest label a stream
+    translate strictly northwest of it allows, then settle in list order."""
+    d = len(spairs)
+    lab = [0] * len(xs)
+    for t in range(len(xs)):
+        x = xs[t]
+        v = vs[t]
+        best = None
+        for j in range(d):
+            sx, sy = spairs[j]
+            k1 = (x - sx - 1) // n
+            k2 = (v - sy - 1) // n
+            cand = j + 1 + (k1 if k1 < k2 else k2) * d
+            if best is None or cand > best:
+                best = cand
+        lab[t] = best
     _settle_lists(xs, vs, lab, n, d)
-    return dict(zip(xs, lab))
+    return lab
 
 
 def backward_numbering(w: PartialPerm, s: Stream) -> Numbering:
@@ -472,9 +476,9 @@ def backward_numbering(w: PartialPerm, s: Stream) -> Numbering:
     stream (the stream ball with the smallest window x is anchored at 1).
     """
     _check_compatible(w, s)
-    labels = _bk_initial(w.window, w.n, s.pairs)
-    labels = _bk_settle(w.window, w.n, s.density(), labels)
-    return Numbering(w.n, s.density(), tuple(sorted(labels.items())))
+    xs = list(w.domain())
+    lab = _bk_labels(xs, [w.window[x - 1] for x in xs], s.pairs, w.n)
+    return Numbering(w.n, s.density(), tuple(zip(xs, lab)))
 
 
 def _check_compatible(w: PartialPerm, s: Stream) -> None:
@@ -489,59 +493,23 @@ def _check_compatible(w: PartialPerm, s: Stream) -> None:
 
 
 def _bk_win(win: Win, n: int, spairs) -> Win:
-    d = len(spairs)
     xs: list[int] = []
     vs: list[int] = []
     for i, v in enumerate(win):
         if v is not None:
             xs.append(i + 1)
             vs.append(v)
-    if not xs:
-        return _win_of_pairs(spairs, n)
-    m = len(xs)
-    lab = [0] * m
-    for t in range(m):
-        x = xs[t]
-        v = vs[t]
-        best = None
-        for j in range(d):
-            sx, sy = spairs[j]
-            k1 = (x - sx - 1) // n
-            k2 = (v - sy - 1) // n
-            cand = j + 1 + (k1 if k1 < k2 else k2) * d
-            if best is None or cand > best:
-                best = cand
-        lab[t] = best
-    _settle_lists(xs, vs, lab, n, d)
+    lab = _bk_labels(xs, vs, spairs, n)
+    # inner corner-posts of the zigzag behind stream ball (sx, sy) with balls
+    # (x1, y1), ..., (xr, yr): (x1, sy), (x2, y1), ..., (sx, yr)
     out: list = [None] * n
-    for j in range(d):
-        sx, sy = spairs[j]
-        target = j + 1
-        balls = []
-        for t in range(m):
-            k, rem = divmod(target - lab[t], d)
-            if not rem:
-                balls.append((xs[t] + k * n, vs[t] + k * n))
-        if not balls:
-            _place(out, n, sx, sy)
-            continue
-        balls.sort(reverse=True)
-        ys = [y for _, y in balls]
-        if any(a >= b for a, b in zip(ys, ys[1:])):
-            raise InvariantError(f"backward zigzag balls out of order: {balls}")
-        _place(out, n, balls[0][0], sy)
-        for t in range(len(balls) - 1):
-            _place(out, n, balls[t + 1][0], ys[t])
-        _place(out, n, sx, ys[-1])
+    for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs), 1)):
+        y = sy
+        for bx, by in balls:
+            _place(out, n, bx, y)
+            y = by
+        _place(out, n, sx, y)
     return tuple(out)
-
-
-def _place(out: list, n: int, x: int, y: int) -> None:
-    q = (x - 1) // n
-    r = x - q * n - 1
-    if out[r] is not None:
-        raise InvariantError(f"window position {r + 1} produced twice")
-    out[r] = y - q * n
 
 
 def backward_step(w: PartialPerm, s: Stream) -> PartialPerm:
@@ -565,16 +533,6 @@ def psi_cache_clear() -> None:
     """Drop memoized backward-map prefixes (they grow during bulk sweeps)."""
     _PSI_CACHE.clear()
     _stream_pairs_for.cache_clear()
-
-
-@lru_cache(maxsize=300000)
-def _stream_pairs_for(domain: tuple, codomain: tuple, altitude: int, n: int):
-    d = len(domain)
-    pairs = []
-    for i in range(d):
-        q, r = divmod(i + altitude, d)
-        pairs.append((domain[i], codomain[r] + n * q))
-    return tuple(pairs)
 
 
 def _psi_suffix(items: tuple, n: int) -> Win:

@@ -214,7 +214,7 @@ def anticanonical_tabloid(lam: Sequence[int], n: Optional[int] = None) -> Tabloi
 
 def omega_tabloid(t: Tabloid) -> Tabloid:
     """Shift every residue by one (n wraps to 1), keeping rows sorted."""
-    return Tabloid(t.n, tuple(tuple(sorted(x % t.n + 1 for x in row)) for row in t.rows))
+    return Tabloid(t.n, omega_rows(t.rows, t.n))
 
 
 def omega_rows(rows: Rows, n: int) -> Rows:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from ambc.affine import partitions
+from ambc.affine import _inverse_window, partitions
+from ambc.cells import _star_window
 from ambc.matrixball import _psi_rows, psi_cache_clear
 from ambc.tabloids import (
     Tabloid,
@@ -49,33 +50,6 @@ def _window_right_shift(win, n):
 def _window_left_shift(win, n):
     # window of omega * w
     return tuple(v + 1 for v in win)
-
-
-def _window_star(win, n, i):
-    if i < n:
-        lst = list(win)
-        lst[i - 1], lst[i] = lst[i], lst[i - 1]
-        return tuple(lst)
-    return (win[n - 1] - n,) + win[1 : n - 1] + (win[0] + n,)
-
-
-def _star_defined(win, n, i):
-    # some neighbor value falls strictly between w(i) and w(i+1)
-    a = win[i - 1]
-    b = win[i % n] + (n if i == n else 0)
-    lo, hi = (a, b) if a < b else (b, a)
-    left = win[(i - 2) % n] + (-n if i == 1 else 0)
-    right = win[(i + 1) % n] + (n if i >= n - 1 else 0)
-    return lo < left < hi or lo < right < hi
-
-
-def _invert(win, n):
-    out = [0] * n
-    for i in range(1, n + 1):
-        v = win[i - 1]
-        q, r = divmod(v - 1, n)
-        out[r] = i - q * n
-    return tuple(out)
 
 
 def transport_chunk(args):
@@ -150,19 +124,20 @@ def transport_chunk(args):
                 inv = None
                 for i in range(1, n + 1):
                     qstar = qd["stars"][i - 1]
-                    if qstar is not None and _star_defined(win, n, i):
+                    if qstar is not None and (win_star := _star_window(win, n, i)) is not None:
                         if i < n:
                             rho_star = rho
                         else:
                             rho_star = tuple(
                                 r + a - b for r, a, b in zip(rho, qd["iota1"], qd["iotan"])
                             )
-                        expect("star-right", prows, qstar, rho_star, _window_star(win, n, i))
+                        expect("star-right", prows, qstar, rho_star, win_star)
                     pstar = pd["stars"][i - 1]
                     if pstar is not None:
                         if inv is None:
-                            inv = _invert(win, n)
-                        if _star_defined(inv, n, i):
+                            inv = _inverse_window(win, n)
+                        inv_star = _star_window(inv, n, i)
+                        if inv_star is not None:
                             if i < n:
                                 rho_star = rho
                             else:
@@ -175,7 +150,7 @@ def transport_chunk(args):
                                 pstar,
                                 qrows,
                                 rho_star,
-                                _invert(_window_star(inv, n, i), n),
+                                _inverse_window(inv_star, n),
                             )
     psi_cache_clear()
     return bases, checks, violations

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ambc.cli import main
+from ambc.cli import _build_parser, main
+from ambc.oracles import self_check
 
 
 def run(capsys, *argv):
@@ -70,8 +72,8 @@ class TestInvolutions:
         code, out, _ = run(capsys, "involutions", "--shape", "4")
         assert out.strip().splitlines() == ["[1,2,3,4]", "count 1"]
 
-    def test_json_and_jobs(self, capsys):
-        code, out, _ = run(capsys, "--format", "json", "--jobs", "2", "involutions", "--shape", "2,2")
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "involutions", "--shape", "2,2")
         data = json.loads(out)
         assert code == 0 and data["count"] == 6 and len(data["windows"]) == 6
 
@@ -173,3 +175,11 @@ class TestSelfCheck:
         code, out, _ = run(capsys, "--format", "json", "self-check", "--samples", "4")
         data = json.loads(out)
         assert all(d["passed"] for d in data)
+
+    def test_readme_count(self):
+        # the README shows the summary line of `ambc self-check` at its defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        shown = [line for line in readme.splitlines() if line.endswith(" checks passed")]
+        args = _build_parser().parse_args(["self-check"])
+        count = len(self_check(seed=args.seed, samples=args.samples))
+        assert shown == [f"{count}/{count} checks passed"]

@@ -9,12 +9,11 @@ from ambc.affine import AffinePerm, PartialPerm, format_window, inverse, parse_w
 from ambc.matrixball import (
     DomTriple,
     Stream,
+    _bk_labels,
     _bk_win,
-    _forward_win,
     _forward_zigzags,
     _phi_win,
     _psi_rows,
-    _settle_lists,
     backward_numbering,
     backward_step,
     channel_numbering,
@@ -254,15 +253,10 @@ class TestBackwardNumbering:
 
             xs = [x for x, _ in num.labels]
             vs = [partial.window[x - 1] for x in xs]
-            d = stream.density()
-            from ambc.matrixball import _bk_initial
-
-            init = _bk_initial(partial.window, n, stream.pairs)
             # reversed scan order
             xs_r = list(reversed(xs))
             vs_r = list(reversed(vs))
-            lab_r = [init[x] for x in xs_r]
-            _settle_lists(xs_r, vs_r, lab_r, n, d)
+            lab_r = _bk_labels(xs_r, vs_r, stream.pairs, n)
             assert dict(zip(xs_r, lab_r)) == dict(num.labels)
 
     def test_incompatible_stream(self):
