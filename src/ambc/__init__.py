@@ -36,6 +36,8 @@ from .matrixball import (
     make_stream,
     phi,
     psi,
+    psi_cache_clear,
+    psi_cache_info,
     southwest_channel,
 )
 from .tabloids import (

@@ -21,13 +21,15 @@ backward map ``psi`` (triple to permutation).
 
 Anchoring conventions (the results below are anchor-independent, but the
 intermediate numberings are not): a channel or stream ball with the smallest
-window x gets label 1, and the backward decrement loop scans candidate balls
-in increasing window x.
+window x gets label 1.  The backward numbering is the greatest labeling at or
+below its seed that strictly increases along strict northwest order, so it
+does not depend on the order in which balls are visited.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence
 
 from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div
@@ -36,7 +38,6 @@ from .tabloids import Rows, Tabloid, is_dominant_wrt
 Win = tuple  # window tuple with int or None entries
 
 _CHANNEL_ENUM_CAP = 500_000
-_BK_ITERATION_CAP = 1_000_000
 
 
 # --- streams -----------------------------------------------------------------
@@ -87,10 +88,8 @@ class Stream:
         return PartialPerm(self.n, tuple(win))
 
 
-@lru_cache(maxsize=300000)
 def _stream_pairs_for(domain: tuple, codomain: tuple, altitude: int, n: int):
-    """Window balls of the stream from sorted residue tuples (cached: the
-    backward map asks for the same streams again and again)."""
+    """Window balls of the stream from sorted residue tuples."""
     d = len(domain)
     pairs = []
     for i in range(d):
@@ -410,70 +409,71 @@ def phi(w: AffinePerm) -> DomTriple:
 # --- backward step ------------------------------------------------------------
 
 
-def _settle_lists(xs: list, vs: list, lab: list, n: int, d: int) -> None:
-    """Decrement loop on parallel position/value/label lists (in place) until
-    the numbering is monotone along strict northwest order; candidates are
-    scanned in list order."""
-    m = len(xs)
-    for _ in range(_BK_ITERATION_CAP):
-        pick = -1
-        for t in range(m):
-            x = xs[t]
-            v = vs[t]
-            lt = lab[t]
-            # (i) some ball strictly southeast has a label <= ours
-            viol = False
-            for u in range(m):
-                k1 = (x - xs[u]) // n + 1
-                k2 = (v - vs[u]) // n + 1
-                if lab[u] + (k1 if k1 > k2 else k2) * d <= lt:
-                    viol = True
-                    break
-            if not viol:
-                continue
-            # (ii) every ball strictly northwest has a strictly smaller label
-            ok = True
-            for u in range(m):
-                k1 = -((xs[u] - x) // n) - 1
-                k2 = -((vs[u] - v) // n) - 1
-                if lab[u] + (k1 if k1 < k2 else k2) * d >= lt:
-                    ok = False
-                    break
-            if ok:
-                pick = t
-                break
-        if pick < 0:
+def _settle_lists(xs: list, vs: list, lab: list, n: int, spairs) -> None:
+    """Lower the labels of the balls (xs[t], vs[t]) in place to the greatest
+    labeling at or below them that strictly increases along strict northwest
+    order against a stream of density d = len(spairs).  A translate of ball u
+    by k(n, n) lies strictly southeast of ball t from k = max((x_t - x_u) // n,
+    (v_t - v_u) // n) + 1 on, so the bound is lab[t] <= lab[u] + k d - 1: a
+    min-plus relaxation that settles within m rounds for m balls, unless no
+    such labeling exists (balls incompatible with the stream)."""
+    d = len(spairs)
+    shifts = []
+    for x, v in zip(xs, vs):
+        row = []
+        for xu, vu in zip(xs, vs):
+            k1 = (x - xu) // n
+            k2 = (v - vu) // n
+            row.append((k1 if k1 > k2 else k2) * d + d - 1)
+        shifts.append(row)
+    for _ in range(len(xs) + 2):
+        changed = False
+        for t, row in enumerate(shifts):
+            low = min(map(add, lab, row))
+            if low < lab[t]:
+                lab[t] = low
+                changed = True
+        if not changed:
             return
-        lab[pick] -= 1
-    raise InvariantError("backward numbering failed to stabilize")
+    raise InvariantError(
+        f"backward numbering did not settle: n={n}, balls={list(zip(xs, vs))}, "
+        f"stream={tuple(spairs)}"
+    )
+
+
+def _bk_seed(xs: list, vs: list, spairs, n: int) -> list:
+    """Seed each ball (xs[t], vs[t]) with the largest label a stream
+    translate strictly northwest of it allows."""
+    d = len(spairs)
+    lab = []
+    for x, v in zip(xs, vs):
+        best = None
+        for j, (sx, sy) in enumerate(spairs, start=1):
+            k1 = (x - sx - 1) // n
+            k2 = (v - sy - 1) // n
+            cand = (k1 if k1 < k2 else k2) * d + j
+            if best is None or cand > best:
+                best = cand
+        lab.append(best)
+    return lab
 
 
 def _bk_labels(xs: list, vs: list, spairs, n: int) -> list:
     """The stabilized backward labels of the balls (xs[t], vs[t]) against the
-    stream balls ``spairs``: seed each ball with the largest label a stream
-    translate strictly northwest of it allows, then settle in list order."""
-    d = len(spairs)
-    lab = [0] * len(xs)
-    for t in range(len(xs)):
-        x = xs[t]
-        v = vs[t]
-        best = None
-        for j in range(d):
-            sx, sy = spairs[j]
-            k1 = (x - sx - 1) // n
-            k2 = (v - sy - 1) // n
-            cand = j + 1 + (k1 if k1 < k2 else k2) * d
-            if best is None or cand > best:
-                best = cand
-        lab[t] = best
-    _settle_lists(xs, vs, lab, n, d)
+    stream balls ``spairs``: the greatest labeling at or below the seed that
+    strictly increases along strict northwest order."""
+    lab = _bk_seed(xs, vs, spairs, n)
+    _settle_lists(xs, vs, lab, n, spairs)
     return lab
 
 
 def backward_numbering(w: PartialPerm, s: Stream) -> Numbering:
     """
     The stabilized backward numbering of the balls of w against a compatible
-    stream (the stream ball with the smallest window x is anchored at 1).
+    stream: the greatest labeling that strictly increases along strict
+    northwest order and stays at or below the seed, where each ball gets the
+    largest label a stream translate strictly northwest of it allows (the
+    stream ball with the smallest window x is anchored at 1).
     """
     _check_compatible(w, s)
     xs = list(w.domain())
@@ -522,33 +522,24 @@ def backward_step(w: PartialPerm, s: Stream) -> PartialPerm:
     return PartialPerm(w.n, _bk_win(w.window, w.n, s.pairs))
 
 
-# Shared memo of backward-map prefixes.  Entries are immutable and the fill
-# is idempotent, so plain GIL-atomic dict operations are safe for concurrent
-# readers with racing writers (a duplicate fill writes an equal value).
-_PSI_CACHE: dict = {}
-_PSI_CACHE_CAP = 1 << 21
-
-
 def psi_cache_clear() -> None:
-    """Drop memoized backward-map prefixes (they grow during bulk sweeps)."""
-    _PSI_CACHE.clear()
-    _stream_pairs_for.cache_clear()
+    """Drop memoized backward-map prefixes."""
+    _psi_suffix.cache_clear()
 
 
+def psi_cache_info():
+    """Hits, misses, maximum and current size of the backward-map prefix memo."""
+    return _psi_suffix.cache_info()
+
+
+@lru_cache(maxsize=4096)
 def _psi_suffix(items: tuple, n: int) -> Win:
     """Backward steps over ``items``, a bottom-up tuple of (q_row, p_row,
-    altitude) row data; prefixes are shared across calls via a cache."""
+    altitude) row data; recent prefixes are shared across calls."""
     if not items:
         return (None,) * n
-    key = (n, items)
-    hit = _PSI_CACHE.get(key)
-    if hit is not None:
-        return hit
     q_row, p_row, alt = items[-1]
-    win = _bk_win(_psi_suffix(items[:-1], n), n, _stream_pairs_for(q_row, p_row, alt, n))
-    if len(_PSI_CACHE) < _PSI_CACHE_CAP:
-        _PSI_CACHE[key] = win
-    return win
+    return _bk_win(_psi_suffix(items[:-1], n), n, _stream_pairs_for(q_row, p_row, alt, n))
 
 
 def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .affine import AffinePerm, PartialPerm, _ceil_div
+from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div
 from .matrixball import Stream, channels, phi
 from .repring import VirtualChar, check_gl_weight, tensor_gl
 from .tabloids import equal_part_runs, rev_lambda
@@ -66,6 +66,48 @@ def brute_channels(w: PartialPerm) -> tuple[Stream, ...]:
             break
     streams = [Stream(w.n, tuple((x, w.window[x - 1]) for x in sub)) for sub in best]
     return tuple(sorted(streams, key=lambda s: s.pairs))
+
+
+# --- backward numbering by single decrements ------------------------------------
+
+_DECREMENT_CAP = 1_000_000
+
+
+def settle_by_decrement(
+    xs: Sequence[int], vs: Sequence[int], lab: Sequence[int], n: int, d: int
+) -> list[int]:
+    """
+    Settle a backward numbering one decrement at a time, starting from the
+    labels ``lab`` of the balls (xs[t], vs[t]) against a stream of density d.
+
+    Each pass scans the balls in list order and lowers by 1 the label of the
+    first ball that (i) has a translate of some ball strictly southeast of it
+    with a label at most its own, and (ii) has only strictly smaller labels
+    strictly northwest of it.  It stops when no ball qualifies, at the
+    greatest labeling at or below ``lab`` that strictly increases along strict
+    northwest order, whatever the scan order; ``matrixball._settle_lists``
+    reaches the same labeling by min-plus relaxation.
+    """
+    lab = list(lab)
+    m = len(xs)
+    for _ in range(_DECREMENT_CAP):
+        for t in range(m):
+            x, v, lt = xs[t], vs[t], lab[t]
+            # smallest shift k with the translate of u strictly southeast of t
+            below = any(
+                lab[u] + max((x - xs[u]) // n + 1, (v - vs[u]) // n + 1) * d <= lt
+                for u in range(m)
+            )
+            # largest shift k with the translate of u strictly northwest of t
+            if below and all(
+                lab[u] + min(-((xs[u] - x) // n) - 1, -((vs[u] - v) // n) - 1) * d < lt
+                for u in range(m)
+            ):
+                lab[t] -= 1
+                break
+        else:
+            return lab
+    raise InvariantError(f"decrement settle exceeded {_DECREMENT_CAP} steps")
 
 
 # --- complete stream families ----------------------------------------------------
@@ -229,7 +271,7 @@ def self_check(seed: int = 20240601, samples: int = 60) -> list[OracleReport]:
     arithmetic.
     """
     from .matrixball import psi_triple
-    from .tabloids import anticanonical_tabloid, enumerate_tabloids
+    from .tabloids import anticanonical_tabloid
     from .matrixball import psi
 
     rng = random.Random(seed)

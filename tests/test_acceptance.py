@@ -16,13 +16,9 @@ import random
 import time
 from multiprocessing import get_context
 
-import pytest
-
 from ambc.affine import (
     AffinePerm,
     compose,
-    from_dominant_weight,
-    identity,
     inverse,
     is_nonextended,
     parse_window,

@@ -171,7 +171,6 @@ class TestDoubleCosets:
         assert min_double_coset_rep(w) == w
 
     def test_idempotent_and_coset_constant(self):
-        import itertools
         import random
 
         rng = random.Random(4)

@@ -1,11 +1,9 @@
-import itertools
 import random
 
 import pytest
 
 from ambc.affine import (
     AffinePerm,
-    compose,
     conjugate_by_shift,
     descents_right,
     finite_permutations,
@@ -30,7 +28,6 @@ from ambc.cells import (
 )
 from ambc.matrixball import phi, psi
 from ambc.tabloids import (
-    Tabloid,
     anticanonical_tabloid,
     canonical_tabloid,
     count_tabloids,

@@ -1,8 +1,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from ambc.cli import _build_parser, main
 from ambc.oracles import self_check
 

@@ -6,7 +6,6 @@ from ambc.affine import (
     AffinePerm,
     compose,
     identity,
-    inverse,
     parse_window,
     partitions,
     shift,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from ambc.affine import (
-    block_diagonal,
     from_dominant_weight,
     min_double_coset_rep,
     parse_window,
@@ -25,9 +24,8 @@ from ambc.lusztig_vogan import (
     w_tableau_zero,
     zero_pair,
 )
-from ambc.matrixball import phi, psi
 from ambc.repring import FWeight, fweight_from_rows, zero_fweight
-from ambc.tabloids import canonical_tabloid, equal_part_runs, rev_lambda
+from ambc.tabloids import equal_part_runs
 
 
 class TestWorkedExamples:

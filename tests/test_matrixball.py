@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambc.affine import AffinePerm, PartialPerm, format_window, inverse, parse_window, partitions
+from ambc.affine import (
+    AffinePerm,
+    InvariantError,
+    PartialPerm,
+    format_window,
+    inverse,
+    parse_window,
+    partitions,
+)
 from ambc.matrixball import (
     DomTriple,
     Stream,
     _bk_labels,
     _bk_win,
-    _forward_zigzags,
-    _phi_win,
     _psi_rows,
+    _settle_lists,
     backward_numbering,
     backward_step,
     channel_numbering,
@@ -24,6 +31,7 @@ from ambc.matrixball import (
     parse_triple,
     phi,
     psi,
+    psi_cache_clear,
     psi_triple,
     southwest_channel,
 )
@@ -259,6 +267,13 @@ class TestBackwardNumbering:
             lab_r = _bk_labels(xs_r, vs_r, stream.pairs, n)
             assert dict(zip(xs_r, lab_r)) == dict(num.labels)
 
+    def test_unsettled_names_input(self):
+        # two balls in a chain outrun a density-1 stream: no labeling strictly
+        # increases along the balls and their translates
+        msg = r"n=3, balls=\[\(1, 1\), \(2, 2\)\], stream=\(\(3, 3\),\)"
+        with pytest.raises(InvariantError, match=msg):
+            _settle_lists([1, 2], [1, 2], [0, 1], 3, ((3, 3),))
+
     def test_incompatible_stream(self):
         w = PartialPerm(4, (1, None, None, None))
         with pytest.raises(ValueError):
@@ -319,6 +334,16 @@ class TestPsi:
         rows = ((7, 8, 9, 10), (3, 4, 5, 6), (1, 2))
         win = _psi_rows(rows, rows, (0, 3, 0), 15)
         assert format_window(PartialPerm(15, win)) == "[-21,-20,-8,-7,5,6,32,33,34,46,_,_,_,_,_]"
+
+    def test_prefix_memo(self, golden9):
+        from ambc import psi_cache_info
+
+        psi_cache_clear()
+        for _ in range(2):
+            psi(golden9["p"], golden9["q"], golden9["rho"])
+        info = psi_cache_info()
+        assert info.hits >= 1
+        assert info.currsize <= info.maxsize
 
     def test_bad_triple(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,17 @@ import random
 
 import pytest
 
-from ambc.affine import AffinePerm, PartialPerm, identity, parse_window, partitions
-from ambc.matrixball import _forward_zigzags, channels, forward_step, phi, psi
+from ambc.affine import AffinePerm, identity, partitions
+from ambc.matrixball import (
+    _bk_labels,
+    _bk_seed,
+    _bk_win,
+    _forward_zigzags,
+    _phi_win,
+    _stream_pairs_for,
+    channels,
+    psi,
+)
 from ambc.oracles import (
     OracleReport,
     brute_channels,
@@ -12,10 +21,10 @@ from ambc.oracles import (
     brute_schur_product,
     epsilon_from_families,
     self_check,
-    stream_altitude,
+    settle_by_decrement,
     _random_affine_perm,
 )
-from ambc.tabloids import anticanonical_tabloid, enumerate_tabloids
+from ambc.tabloids import anticanonical_tabloid
 
 from conftest import dominant_diffs
 
@@ -39,6 +48,40 @@ class TestBruteChannels:
     def test_guard(self):
         with pytest.raises(ValueError):
             brute_channels(identity(9))
+
+
+def backward_steps(win, n):
+    """(positions, values, stream balls) of every backward step of
+    psi(phi(w)), innermost step first."""
+    p_rows, q_rows, rho = _phi_win(win, n)
+    cur = (None,) * n
+    for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(rho)):
+        spairs = _stream_pairs_for(q_row, p_row, alt, n)
+        xs = [x for x in range(1, n + 1) if cur[x - 1] is not None]
+        yield xs, [cur[x - 1] for x in xs], spairs
+        cur = _bk_win(cur, n, spairs)
+    assert cur == tuple(win)
+
+
+class TestSettleByDecrement:
+    @staticmethod
+    def check(win, n):
+        for xs, vs, spairs in backward_steps(win, n):
+            seed = _bk_seed(xs, vs, spairs, n)
+            expected = settle_by_decrement(xs, vs, seed, n, len(spairs))
+            assert _bk_labels(xs, vs, spairs, n) == expected, (win, xs, vs, spairs)
+
+    def test_exhaustive_small(self):
+        for n in range(1, 5):
+            for perm in itertools.permutations(range(1, n + 1)):
+                for shifts in itertools.product((-1, 0, 1), repeat=n):
+                    self.check(tuple(v + n * s for v, s in zip(perm, shifts)), n)
+
+    def test_seeded(self):
+        rng = random.Random(45)
+        for _ in range(120):
+            n = rng.randint(5, 32)
+            self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
 
 
 class TestStreamFamilies:

@@ -4,7 +4,6 @@ import pytest
 
 from ambc.repring import (
     FWeight,
-    check_gl_weight,
     dim_f,
     dim_gl,
     format_fweight,

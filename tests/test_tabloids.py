@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from ambc.tabloids import (
     count_tabloids,
     delta_vec,
     enumerate_tabloids,
-    equal_part_runs,
     format_shape,
     format_tabloid,
     iota_vec,
