@@ -21,12 +21,16 @@ backward map ``psi`` (triple to permutation).
 
 Anchoring conventions (the results below are anchor-independent, but the
 intermediate numberings are not): a channel or stream ball with the smallest
-window x gets label 1.  The backward numbering is the greatest labeling at or
-below its seed that strictly increases along strict northwest order, so it
-does not depend on the order in which balls are visited.
+window x gets label 1.  The channel numbering is the least labeling at or
+above its seed that satisfies the longest-path bounds: a ball strictly
+southeast of a translate of another ball carries a larger label than that
+translate.  The backward numbering is the greatest labeling at or below its
+seed that strictly increases along strict northwest order.  Neither depends
+on the order in which balls are visited.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -122,20 +126,23 @@ def make_stream(domain: Sequence[int], codomain: Sequence[int], altitude: int, n
 
 def _max_density(win: Win, n: int) -> int:
     """Maximum density of a substream: the longest increasing run of window
-    balls whose total rise stays below n."""
-    dom = [i + 1 for i, v in enumerate(win) if v is not None]
+    balls whose total rise stays below n.  Per anchor, a patience-sorting
+    longest increasing subsequence over the later balls with values in
+    (w_a, w_a + n)."""
+    vals = [v for v in win if v is not None]
     best = 0
-    for a in dom:
-        cap = win[a - 1] + n
-        # longest increasing subsequence starting at a, values below cap
-        length = {a: 1}
-        for b in dom:
-            if b <= a or win[b - 1] >= cap or win[b - 1] <= win[a - 1]:
-                continue
-            length[b] = 1 + max(
-                (length[c] for c in length if c < b and win[c - 1] < win[b - 1]), default=0
-            )
-        best = max(best, max(length.values()))
+    for a, low in enumerate(vals):
+        cap = low + n
+        tails: list[int] = []  # tails[k]: least last value of a run of k + 1
+        for v in vals[a + 1 :]:
+            if low < v < cap:
+                k = bisect_left(tails, v)
+                if k == len(tails):
+                    tails.append(v)
+                else:
+                    tails[k] = v
+        if len(tails) >= best:
+            best = len(tails) + 1
     return best
 
 
@@ -197,7 +204,10 @@ def _southwest_channel(win: Win, n: int) -> tuple[int, ...]:
         return chans[0]
     sw = [c for c in chans if all(_dominates_from_ne(win, n, c, o) for o in chans if o != c)]
     if len(sw) != 1:
-        raise InvariantError(f"expected a unique southwest channel, found {len(sw)}")
+        raise InvariantError(
+            f"expected a unique southwest channel, found {len(sw)}: n={n}, window={tuple(win)}, "
+            f"channels={sw}"
+        )
     return sw[0]
 
 
@@ -225,43 +235,64 @@ class Numbering:
         return table[r + 1] + q * self.step
 
 
-def _channel_labels(win: Win, n: int, channel: tuple[int, ...]) -> dict[int, int]:
-    """Longest-path numbering out of the channel's proper numbering (the
-    channel ball with the smallest window x is anchored at 1)."""
-    dom = [i + 1 for i, v in enumerate(win) if v is not None]
+def _channel_labels(win: Win, n: int, channel: tuple[int, ...]) -> tuple[list, list, list]:
+    """Positions, values and labels of the balls of ``win``, numbered by
+    longest paths out of the channel's proper numbering (the channel ball
+    with the smallest window x is anchored at 1).  A translate of ball u by
+    k(n, n) lies strictly northwest of ball t up to k = min((x_t - x_u - 1) //
+    n, (v_t - v_u - 1) // n), so the bound is lab[t] >= lab[u] + k d + 1: a
+    max-plus relaxation that settles within m rounds for m balls, unless the
+    channel is not of maximum density."""
+    xs: list[int] = []
+    vs: list[int] = []
+    for i, v in enumerate(win):
+        if v is not None:
+            xs.append(i + 1)
+            vs.append(v)
     d = len(channel)
-    base = {x: i + 1 for i, x in enumerate(sorted(channel))}
-    labels = {x: base.get(x, None) for x in dom}
-    # seed non-channel balls from any channel ball strictly northwest of them
-    for x in dom:
-        if labels[x] is None:
-            wx = win[x - 1]
-            seed = None
-            for c in sorted(channel):
-                k = min((x - c - 1) // n, (wx - win[c - 1] - 1) // n)
-                v = base[c] + k * d + 1
-                seed = v if seed is None else max(seed, v)
-            labels[x] = seed
-    # relax longest paths; translates of j strictly northwest of x give
-    # labels[j] + k*d + 1 with the largest admissible k
-    for _ in range(len(dom) + 2):
+    shifts = []
+    for x, v in zip(xs, vs):
+        row = []
+        for xu, vu in zip(xs, vs):
+            k1 = (x - xu - 1) // n
+            k2 = (v - vu - 1) // n
+            row.append((k1 if k1 < k2 else k2) * d + 1)
+        shifts.append(row)
+    base = {x: j for j, x in enumerate(sorted(channel), start=1)}
+    cols = [(u, base[x]) for u, x in enumerate(xs) if x in base]
+    # seed non-channel balls from the channel translates strictly northwest
+    lab = []
+    for x, row in zip(xs, shifts):
+        if x in base:
+            lab.append(base[x])
+        else:
+            best = None
+            for u, j in cols:
+                cand = j + row[u]
+                if best is None or cand > best:
+                    best = cand
+            lab.append(best)
+    for _ in range(len(xs) + 2):
         changed = False
-        for x in dom:
-            wx = win[x - 1]
-            for j in dom:
-                k = min((x - j - 1) // n, (wx - win[j - 1] - 1) // n)
-                cand = labels[j] + k * d + 1
-                if cand > labels[x]:
-                    labels[x] = cand
-                    changed = True
+        for t, row in enumerate(shifts):
+            high = max(map(add, lab, row))
+            if high > lab[t]:
+                lab[t] = high
+                changed = True
         if not changed:
             break
     else:
-        raise InvariantError("channel numbering failed to stabilize")
-    for x in channel:
-        if labels[x] != base[x]:
-            raise InvariantError("channel numbering moved a channel ball")
-    return labels
+        raise InvariantError(
+            f"channel numbering failed to stabilize: n={n}, window={tuple(win)}, "
+            f"channel={tuple(channel)}"
+        )
+    for x, label in zip(xs, lab):
+        if x in base and label != base[x]:
+            raise InvariantError(
+                f"channel numbering moved a channel ball: n={n}, window={tuple(win)}, "
+                f"channel={tuple(channel)}, ball {x} labelled {label} against {base[x]}"
+            )
+    return xs, vs, lab
 
 
 def channel_numbering(w: PartialPerm, channel: Stream) -> Numbering:
@@ -271,8 +302,8 @@ def channel_numbering(w: PartialPerm, channel: Stream) -> Numbering:
         raise ValueError("the given stream is not a substream of w")
     if channel.density() != _max_density(w.window, w.n):
         raise ValueError("the given stream is not a channel (density not maximal)")
-    labels = _channel_labels(w.window, w.n, chan)
-    return Numbering(w.n, channel.density(), tuple(sorted(labels.items())))
+    xs, _, lab = _channel_labels(w.window, w.n, chan)
+    return Numbering(w.n, channel.density(), tuple(zip(xs, lab)))
 
 
 def channels(w: PartialPerm) -> tuple[Stream, ...]:
@@ -316,10 +347,7 @@ def _forward_zigzags(win: Win, n: int):
     """Zigzags of the forward step: a list of ball lists, one per nonempty
     label class, each sorted by x descending (values then ascend)."""
     channel = _southwest_channel(win, n)
-    labels = _channel_labels(win, n, channel)
-    xs = list(labels)
-    vs = [win[x - 1] for x in xs]
-    lab = [labels[x] for x in xs]
+    xs, vs, lab = _channel_labels(win, n, channel)
     return [balls for balls in _zigzags(xs, vs, lab, n, len(channel), 0) if balls]
 
 

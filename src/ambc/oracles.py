@@ -110,6 +110,53 @@ def settle_by_decrement(
     raise InvariantError(f"decrement settle exceeded {_DECREMENT_CAP} steps")
 
 
+# --- channel numbering by round-robin relaxation -----------------------------------
+
+
+def channel_labels_round_robin(win, n: int, channel: Sequence[int]) -> dict[int, int]:
+    """
+    Number the balls of the window ``win`` by longest paths out of the proper
+    numbering of ``channel`` (its window positions; the one with the smallest
+    window x is anchored at 1), relaxing one pair of balls at a time.
+
+    Each non-channel ball starts at the largest label a channel translate
+    strictly northwest of it gives.  Each round then visits the balls in
+    window order and, for every ball j, raises the label of ball x to
+    lab[j] + k d + 1 for the largest k whose translate of j by k(n, n) lies
+    strictly northwest of x.  It stops at the least labeling at or above the
+    seed that satisfies every such bound, whatever the visiting order;
+    ``matrixball._channel_labels`` reaches the same labeling by a max-plus
+    relaxation over a shift table.
+    """
+    dom = [i + 1 for i, v in enumerate(win) if v is not None]
+    d = len(channel)
+    base = {x: i + 1 for i, x in enumerate(sorted(channel))}
+    labels = {x: base.get(x) for x in dom}
+    for x in dom:
+        if labels[x] is None:
+            labels[x] = max(
+                base[c] + min((x - c - 1) // n, (win[x - 1] - win[c - 1] - 1) // n) * d + 1
+                for c in base
+            )
+    for _ in range(len(dom) + 2):
+        changed = False
+        for x in dom:
+            wx = win[x - 1]
+            for j in dom:
+                k = min((x - j - 1) // n, (wx - win[j - 1] - 1) // n)
+                cand = labels[j] + k * d + 1
+                if cand > labels[x]:
+                    labels[x] = cand
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise InvariantError("round-robin channel numbering failed to stabilize")
+    if any(labels[x] != base[x] for x in channel):
+        raise InvariantError("round-robin channel numbering moved a channel ball")
+    return labels
+
+
 # --- complete stream families ----------------------------------------------------
 
 

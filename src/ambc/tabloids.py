@@ -97,14 +97,17 @@ def local_charge(t: Tabloid, i: int) -> int:
     return _lch_pair(t.rows[i - 1], t.rows[i])
 
 
-@lru_cache(maxsize=200000)
 def _lch_pair(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    # smallest d >= 0 with a[l-d] < b[l] for all l in [d+1, len(b)], 1-based
-    t = len(b)
-    for d in range(t + 1):
-        if all(a[l - d - 1] < b[l - 1] for l in range(d + 1, t + 1)):
-            return d
-    raise AssertionError("unreachable: d = len(b) is vacuously valid")
+    # smallest d >= 0 with a[l-d] < b[l] for all l in [d+1, len(b)], 1-based;
+    # for ascending rows that is max(0, max_l(l - #{i: a[i] < b[l]})), read
+    # off in one merge walk
+    d = i = 0
+    for l, y in enumerate(b, start=1):
+        while i < len(a) and a[i] < y:
+            i += 1
+        if l - i > d:
+            d = l - i
+    return d
 
 
 def offset_constants(p: Tabloid, q: Tabloid) -> RowVector:

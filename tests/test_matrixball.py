@@ -19,6 +19,7 @@ from ambc.matrixball import (
     Stream,
     _bk_labels,
     _bk_win,
+    _channel_labels,
     _psi_rows,
     _settle_lists,
     backward_numbering,
@@ -35,6 +36,7 @@ from ambc.matrixball import (
     psi_triple,
     southwest_channel,
 )
+from ambc import matrixball
 from ambc.tabloids import (
     Tabloid,
     canonical_tabloid,
@@ -139,6 +141,27 @@ class TestChannelNumbering:
         w = AffinePerm(3, (1, 2, 3))
         with pytest.raises(ValueError):
             channel_numbering(w, make_stream((1,), (1,), 0, 3))
+
+    def test_unsettled_names_input(self):
+        # a density-1 "channel" beside a chain of two balls: the longest-path
+        # bounds have a positive cycle, so the labels never settle
+        msg = r"failed to stabilize: n=2, window=\(1, 2\), channel=\(1,\)"
+        with pytest.raises(InvariantError, match=msg):
+            _channel_labels((1, 2), 2, (1,))
+
+    def test_moved_channel_ball_names_input(self):
+        # the balls over 2 and 3 are no chain: a path from a translate of
+        # ball 3 through ball 1 lifts ball 2 above its channel label
+        msg = r"moved a channel ball: n=3, window=\(1, 2, 0\), channel=\(2, 3\)"
+        with pytest.raises(InvariantError, match=msg):
+            _channel_labels((1, 2, 0), 3, (2, 3))
+
+    def test_ambiguous_southwest_names_input(self, monkeypatch):
+        # two copies of one channel: neither is the unique southwest one
+        monkeypatch.setattr(matrixball, "_all_channels", lambda win, n: [(1,), (1,)])
+        msg = r"found 2: n=2, window=\(2, 1\), channels=\[\(1,\), \(1,\)\]"
+        with pytest.raises(InvariantError, match=msg):
+            southwest_channel(AffinePerm(2, (2, 1)))
 
 
 class TestForwardStep:

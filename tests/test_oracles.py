@@ -3,13 +3,17 @@ import random
 
 import pytest
 
-from ambc.affine import AffinePerm, identity, partitions
+from ambc.affine import AffinePerm, PartialPerm, identity, partitions
 from ambc.matrixball import (
     _bk_labels,
     _bk_seed,
     _bk_win,
+    _channel_labels,
+    _forward_win,
     _forward_zigzags,
+    _max_density,
     _phi_win,
+    _southwest_channel,
     _stream_pairs_for,
     channels,
     psi,
@@ -19,6 +23,7 @@ from ambc.oracles import (
     brute_channels,
     brute_complete_stream_families,
     brute_schur_product,
+    channel_labels_round_robin,
     epsilon_from_families,
     self_check,
     settle_by_decrement,
@@ -82,6 +87,50 @@ class TestSettleByDecrement:
         for _ in range(120):
             n = rng.randint(5, 32)
             self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
+
+
+def forward_windows(win, n):
+    """The window before every forward step of phi(w), first step first."""
+    cur = tuple(win)
+    while any(v is not None for v in cur):
+        yield cur
+        cur, _ = _forward_win(cur, n)
+
+
+class TestChannelLabelsRoundRobin:
+    @staticmethod
+    def check(win, n):
+        for cur in forward_windows(win, n):
+            channel = _southwest_channel(cur, n)
+            xs, _, lab = _channel_labels(cur, n, channel)
+            expected = channel_labels_round_robin(cur, n, channel)
+            assert dict(zip(xs, lab)) == expected, (win, cur, channel)
+
+    def test_exhaustive_small(self):
+        for n in range(1, 5):
+            for perm in itertools.permutations(range(1, n + 1)):
+                for shifts in itertools.product((-1, 0, 1), repeat=n):
+                    self.check(tuple(v + n * s for v, s in zip(perm, shifts)), n)
+
+    def test_seeded(self):
+        rng = random.Random(46)
+        for n in (5, 8, 12, 16, 24, 32, 48, 64):
+            for _ in range(3):
+                self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
+
+
+class TestMaxDensity:
+    def test_against_brute_channels(self):
+        # partial windows: random holes punched into random affine windows
+        rng = random.Random(47)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            win = _random_affine_perm(rng, n, rng.choice((1, 2, 3))).window
+            win = tuple(v if rng.random() < 0.7 else None for v in win)
+            if all(v is None for v in win):
+                continue
+            density = brute_channels(PartialPerm(n, win))[0].density()
+            assert _max_density(win, n) == density, (win, n)
 
 
 class TestStreamFamilies:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ambc.affine import partitions
 from ambc.tabloids import (
     Tabloid,
+    _lch_pair,
     anticanonical_tabloid,
     canonical_tabloid,
     count_tabloids,
@@ -88,6 +90,32 @@ class TestLocalCharge:
     def test_out_of_range(self, golden9):
         with pytest.raises(ValueError):
             local_charge(golden9["p"], 3)
+
+    @staticmethod
+    def shift_search(a, b):
+        # the definition: smallest d >= 0 with a[l-d] < b[l] for every l in
+        # [d+1, len(b)], 1-based
+        for d in range(len(b) + 1):
+            if all(a[l - d - 1] < b[l - 1] for l in range(d + 1, len(b) + 1)):
+                return d
+
+    def test_merge_walk_matches_definition(self):
+        # every pair of disjoint ascending rows with len(a) >= len(b) >= 1 in
+        # 1..n for n <= 8, then random pairs up to n = 64
+        for n in range(1, 9):
+            for where in itertools.product((0, 1, 2), repeat=n):
+                a = tuple(x for x, r in enumerate(where, start=1) if r == 1)
+                b = tuple(x for x, r in enumerate(where, start=1) if r == 2)
+                if len(a) >= len(b) >= 1:
+                    assert _lch_pair(a, b) == self.shift_search(a, b), (a, b)
+        rng = random.Random(48)
+        for _ in range(2000):
+            n = rng.randint(2, 64)
+            k = rng.randint(1, n // 2)
+            k2 = rng.choice((k, rng.randint(1, k)))
+            drawn = rng.sample(range(1, n + 1), k + k2)
+            a, b = tuple(sorted(drawn[:k])), tuple(sorted(drawn[k:]))
+            assert _lch_pair(a, b) == self.shift_search(a, b), (a, b)
 
 
 class TestOffsetConstants:
@@ -220,16 +248,17 @@ class TestStarTabloid:
         for lam in partitions(4):
             tabs = list(enumerate_tabloids(lam))
             for t in tabs:
+                cell = []
+                for p in tabs:
+                    s = offset_constants(p, t)
+                    for diff in dominant_diffs(lam):
+                        cell.append(psi(p, t, tuple(d + c for d, c in zip(diff, s))))
                 for i in range(1, 5):
                     images = set()
-                    for p in tabs:
-                        s = offset_constants(p, t)
-                        for diff in dominant_diffs(lam):
-                            rho = tuple(d + c for d, c in zip(diff, s))
-                            w = psi(p, t, rho)
-                            ws = star_right(w, i)
-                            if ws is not None:
-                                images.add(phi(ws).q)
+                    for w in cell:
+                        ws = star_right(w, i)
+                        if ws is not None:
+                            images.add(phi(ws).q)
                     got = star_tabloid(t, i)
                     if got is not None:
                         assert images == {got}
