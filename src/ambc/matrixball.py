@@ -183,7 +183,10 @@ def _all_channels(win: Win, n: int) -> list[tuple[int, ...]]:
         for chain in _anchored_chains(win, n, anchor, d):
             out.append(chain)
             if len(out) > _CHANNEL_ENUM_CAP:
-                raise InvariantError("channel enumeration exploded; input too adversarial")
+                raise InvariantError(
+                    f"channel enumeration exceeded {_CHANNEL_ENUM_CAP} channels: n={n}, "
+                    f"window={tuple(win)}"
+                )
     return out
 
 
@@ -416,7 +419,9 @@ def _phi_win(win: Win, n: int) -> tuple[Rows, Rows, tuple[int, ...]]:
         p_rows.append(tuple(sorted((y - 1) % n + 1 for _, y in spairs)))
         q_rows.append(tuple(x for x, _ in spairs))
         rho.append(sum(_ceil_div(y, n) - 1 for _, y in spairs))
-    raise InvariantError("forward iteration did not terminate within n steps")
+    raise InvariantError(
+        f"forward iteration did not terminate within n steps: n={n}, window={tuple(win)}"
+    )
 
 
 def phi(w: AffinePerm) -> DomTriple:
@@ -597,7 +602,10 @@ def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:
         raise ValueError("P and Q must be tabloids of one shape")
     win = _psi_rows(p.rows, q.rows, tuple(rho), p.n)
     if any(v is None for v in win):
-        raise InvariantError("backward map produced holes from a full tabloid pair")
+        raise InvariantError(
+            f"backward map produced holes from a full tabloid pair: n={p.n}, "
+            f"P={p.rows}, Q={q.rows}, rho={tuple(rho)}"
+        )
     return AffinePerm(p.n, win)
 
 

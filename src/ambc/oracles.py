@@ -223,6 +223,87 @@ def epsilon_from_families(w: PartialPerm) -> tuple[int, ...]:
 # --- symmetric function products --------------------------------------------------
 
 
+def _lr_tableau_count(kappa: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    """Number of Littlewood-Richardson skew tableaux of shape kappa/mu and
+    content nu (semistandard, reverse reading word a lattice word), found by
+    filling the cells one at a time."""
+    rows = len(kappa)
+    mu = mu + (0,) * (rows - len(mu))
+    cells = [(r, c) for r in range(rows) for c in range(kappa[r] - 1, mu[r] - 1, -1)]
+    remaining = list(nu)
+    filling: dict[tuple[int, int], int] = {}
+
+    def place(idx: int) -> int:
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        right = filling.get((r, c + 1))
+        above = filling.get((r - 1, c)) if r > 0 and c >= mu[r - 1] else None
+        total = 0
+        for v in range(1, len(nu) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if right is not None and v > right:
+                continue
+            if above is not None and v <= above:
+                continue
+            # lattice condition on the reverse reading word: every prefix has
+            # at least as many (v-1)s as vs
+            if v > 1 and (nu[v - 2] - remaining[v - 2]) < (nu[v - 1] - remaining[v - 1]) + 1:
+                continue
+            remaining[v - 1] -= 1
+            filling[(r, c)] = v
+            total += place(idx + 1)
+            del filling[(r, c)]
+            remaining[v - 1] += 1
+        return total
+
+    return place(0)
+
+
+def lr_by_tableaux(mu: Sequence[int], nu: Sequence[int], max_rows: int) -> dict[tuple[int, ...], int]:
+    """
+    Expand s_mu * s_nu over partitions with at most max_rows rows by
+    enumerating every shape kappa containing mu and counting the
+    Littlewood-Richardson tableaux of shape kappa/mu and content nu;
+    ``repring._lr_product`` reaches the same coefficients in one pass over
+    horizontal strips.
+    """
+    mu = tuple(p for p in mu if p)
+    nu = tuple(p for p in nu if p)
+    if not nu:
+        return {mu: 1}
+    if not mu:
+        return {nu: 1} if len(nu) <= max_rows else {}
+    total = sum(mu) + sum(nu)
+
+    out: dict[tuple[int, ...], int] = {}
+
+    def kappas(row: int, prev: int, used: int):
+        if used > total:
+            return
+        if row == max_rows:
+            if used == total:
+                yield ()
+            return
+        base = mu[row] if row < len(mu) else 0
+        hi = min(prev, base + nu[0] if row == 0 else prev)
+        for part in range(base, hi + 1):
+            if used + part > total:
+                break
+            for rest in kappas(row + 1, part, used + part):
+                yield (part,) + rest
+
+    for kappa in kappas(0, total, 0):
+        kappa = tuple(p for p in kappa if p)
+        if len(kappa) < len(mu) or sum(kappa) != total:
+            continue
+        coeff = _lr_tableau_count(kappa, mu, nu)
+        if coeff:
+            out[kappa] = coeff
+    return out
+
+
 def _ssyt_monomials(shape: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the Schur polynomial in m variables: sum over
     semistandard tableaux of the shape with entries in 1..m."""

@@ -4,19 +4,21 @@ with possibly negative highest weights, assembled block-wise into the ring
 attached to a partition (one GL factor per equal-part multiplicity).
 
 Products are computed by the Littlewood-Richardson rule: both weights are
-shifted by determinant powers until they are partitions, skew tableaux with
-the lattice-word property are counted, and the shift is undone.  The Weyl
-dimension formula is included as a verification oracle.
+shifted by determinant powers until they are partitions, the labels of the
+factor with fewer boxes are placed on the other one in a single pass, each
+label's boxes as a horizontal strip whose row counts keep the lattice-word
+condition, and the shift is undone.  The Weyl dimension formula is included
+as a verification oracle.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence
 
-from .affine import check_partition
+from .affine import InvariantError, check_partition
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -98,79 +100,60 @@ def is_determinantal(lam: Sequence[int], rho: Sequence[int]) -> bool:
 # --- Littlewood-Richardson ----------------------------------------------------
 
 
-@lru_cache(maxsize=100000)
-def _lr_tableau_count(kappa: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Number of Littlewood-Richardson skew tableaux of shape kappa/mu and
-    content nu (semistandard, reverse reading word a lattice word)."""
+def _add_strips(kappa: tuple, prev: tuple, k: int, slack: int, nxt: dict, mult: int) -> None:
+    """
+    Add to ``nxt`` every way to put k boxes of the next label on ``kappa`` as
+    a horizontal strip, a_r boxes in row r, with the lattice condition
+    a_0 + ... + a_r <= prev_0 + ... + prev_{r-1} against the row counts
+    ``prev`` of the previous label (``slack`` is that bound's slack before
+    row 0).  Each result is keyed by its shape and its row counts.
+    """
     rows = len(kappa)
-    mu = mu + (0,) * (rows - len(mu))
-    cells = [(r, c) for r in range(rows) for c in range(kappa[r] - 1, mu[r] - 1, -1)]
-    remaining = list(nu)
-    filling: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        right = filling.get((r, c + 1))
-        above = filling.get((r - 1, c)) if r > 0 and c >= mu[r - 1] else None
-        total = 0
-        for v in range(1, len(nu) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            # lattice condition on the reverse reading word: every prefix has
-            # at least as many (v-1)s as vs
-            if v > 1 and (nu[v - 2] - remaining[v - 2]) < (nu[v - 1] - remaining[v - 1]) + 1:
-                continue
-            remaining[v - 1] -= 1
-            filling[(r, c)] = v
-            total += place(idx + 1)
-            del filling[(r, c)]
-            remaining[v - 1] += 1
-        return total
-
-    return place(0)
-
-
-def _lr_product(mu: tuple[int, ...], nu: tuple[int, ...], max_rows: int) -> dict[tuple[int, ...], int]:
-    """Expand s_mu * s_nu over partitions with at most max_rows rows."""
-    mu = tuple(p for p in mu if p)
-    nu = tuple(p for p in nu if p)
-    if not nu:
-        return {mu: 1}
-    if not mu:
-        return {nu: 1} if len(nu) <= max_rows else {}
-    total = sum(mu) + sum(nu)
-
-    out: dict[tuple[int, ...], int] = {}
-
-    def kappas(row: int, prev: int, used: int):
-        if used > total:
-            return
-        if row == max_rows:
-            if used == total:
-                yield ()
-            return
-        base = mu[row] if row < len(mu) else 0
-        hi = min(prev, base + nu[0] if row == 0 else prev)
-        lo = base
-        for part in range(lo, hi + 1):
-            if used + part > total:
-                break
-            for rest in kappas(row + 1, part, used + part):
-                yield (part,) + rest
-
-    for kappa in kappas(0, total, 0):
-        kappa = tuple(p for p in kappa if p)
-        if len(kappa) < len(mu) or sum(kappa) != total:
+    last = kappa[-1]
+    stack = [(0, k, slack, ())]
+    while stack:
+        r, left, slack, adds = stack.pop()
+        if not left:
+            adds += (0,) * (rows - r)
+            key = (tuple(map(add, kappa, adds)), adds)
+            nxt[key] = nxt.get(key, 0) + mult
             continue
-        coeff = _lr_tableau_count(kappa, mu, nu)
-        if coeff:
-            out[kappa] = coeff
+        hi = left if left < slack else slack
+        if r and kappa[r - 1] - kappa[r] < hi:
+            hi = kappa[r - 1] - kappa[r]
+        # the rows below r hold at most kappa[r] - last boxes of a strip
+        lo = left - kappa[r] + last
+        for a in range(lo if lo > 0 else 0, hi + 1):
+            stack.append((r + 1, left - a, slack - a + prev[r], adds + (a,)))
+
+
+def _lr_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """
+    Expand s_mu * s_nu over partitions with at most len(mu) rows, for
+    partitions mu and nu zero-padded to one length (every key is padded the
+    same way): place the labels 1, 2, ... of the factor with fewer boxes on
+    the other one, each label's boxes as a horizontal strip whose row counts
+    keep the lattice condition against the previous label's.  Equal (shape,
+    row counts) states merge with their multiplicities added.
+
+    >>> _lr_product((2, 1, 0), (2, 1, 0))[(3, 2, 1)]
+    2
+    """
+    if sum(nu) > sum(mu):
+        mu, nu = nu, mu
+    zeros = (0,) * len(mu)
+    states = {(mu, zeros): 1}
+    for j, k in enumerate(nu):
+        if not k:
+            break
+        nxt: dict = {}
+        for (kappa, prev), mult in states.items():
+            # label 1 is free of the lattice condition
+            _add_strips(kappa, prev, k, 0 if j else k, nxt, mult)
+        states = nxt
+    out: dict[tuple[int, ...], int] = {}
+    for (kappa, _), mult in states.items():
+        out[kappa] = out.get(kappa, 0) + mult
     return out
 
 
@@ -185,17 +168,11 @@ def tensor_gl(mu: Sequence[int], nu: Sequence[int]) -> VirtualChar:
     """
     mu = check_gl_weight(mu)
     nu = check_gl_weight(nu, len(mu))
-    m = len(mu)
     c1 = max(0, -mu[-1])
     c2 = max(0, -nu[-1])
-    mu_p = tuple(x + c1 for x in mu)
-    nu_p = tuple(x + c2 for x in nu)
-    raw = _lr_product(mu_p, nu_p, m)
+    raw = _lr_product(tuple(x + c1 for x in mu), tuple(x + c2 for x in nu))
     shift = c1 + c2
-    return {
-        tuple(x - shift for x in (kappa + (0,) * (m - len(kappa)))): coeff
-        for kappa, coeff in raw.items()
-    }
+    return {tuple(x - shift for x in kappa): coeff for kappa, coeff in raw.items()}
 
 
 def tensor_f(r1: FWeight, r2: FWeight) -> VirtualChar:
@@ -233,7 +210,8 @@ def dim_gl(mu: Sequence[int]) -> int:
         for j in range(i + 1, m):
             num *= mu[i] - mu[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Weyl dimension formula gave a non-integer for mu={mu}")
     return num // den
 
 

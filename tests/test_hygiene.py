@@ -1,11 +1,13 @@
-"""Source hygiene: every imported name in the library and the tests is read."""
+"""Source hygiene: every imported name in the library and the tests is read,
+and the library checks its invariants without ``assert`` (which ``python -O``
+strips)."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "ambc").glob("*.py"))
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "ambc").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [p for p in LIBRARY if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -52,3 +54,23 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
     }
     assert not found, sorted(found)
+
+
+def assert_lines(tree: ast.AST) -> list[int]:
+    """Line of every ``assert`` statement."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_scanner_finds_asserts():
+    tree = ast.parse("def f(x):\n    assert x\n    return x\nassert f(1), 'msg'\n")
+    assert assert_lines(tree) == [2, 4]
+
+
+def test_no_asserts_in_library():
+    assert LIBRARY
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in LIBRARY
+        for line in assert_lines(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found

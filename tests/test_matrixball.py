@@ -119,6 +119,14 @@ class TestChannels:
             assert southwest_channel(w).density() == phi(w).shape()[0]
 
 
+    def test_enumeration_cap_names_input(self, monkeypatch):
+        # [2,1,4,3] has 2 * 2 = 4 channels, past a cap of 1
+        monkeypatch.setattr(matrixball, "_CHANNEL_ENUM_CAP", 1)
+        msg = r"exceeded 1 channels: n=4, window=\(2, 1, 4, 3\)"
+        with pytest.raises(InvariantError, match=msg):
+            phi(AffinePerm(4, (2, 1, 4, 3)))
+
+
 class TestChannelNumbering:
     def test_identity_labels(self):
         w = AffinePerm(4, (1, 2, 3, 4))
@@ -193,6 +201,13 @@ class TestForwardStep:
 
 
 class TestPhi:
+    def test_unterminated_names_input(self, monkeypatch):
+        # a forward step that removes no ball never empties the window
+        monkeypatch.setattr(matrixball, "_forward_win", lambda win, n: (win, ((1, win[0]),)))
+        msg = r"within n steps: n=2, window=\(2, 1\)"
+        with pytest.raises(InvariantError, match=msg):
+            phi(AffinePerm(2, (2, 1)))
+
     def test_golden(self, golden9):
         t = phi(AffinePerm(9, golden9["w"]))
         assert (t.p, t.q, t.rho) == (golden9["p"], golden9["q"], golden9["rho"])
@@ -367,6 +382,14 @@ class TestPsi:
         info = psi_cache_info()
         assert info.hits >= 1
         assert info.currsize <= info.maxsize
+
+    def test_holes_name_input(self, monkeypatch):
+        # backward steps that place no ball leave every position empty
+        monkeypatch.setattr(matrixball, "_psi_rows", lambda p_rows, q_rows, rho, n: (None,) * n)
+        t = canonical_tabloid((2, 1))
+        msg = r"n=3, P=\(\(2, 3\), \(1,\)\), Q=\(\(2, 3\), \(1,\)\), rho=\(0, 1\)"
+        with pytest.raises(InvariantError, match=msg):
+            psi(t, t, (0, 1))
 
     def test_bad_triple(self):
         with pytest.raises(ValueError):

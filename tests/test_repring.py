@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
+    _lr_product,
     dim_f,
     dim_gl,
     format_fweight,
@@ -22,6 +25,17 @@ def random_weight(rng, m, lo=-3, hi=3):
     return tuple(sorted((rng.randint(lo, hi) for _ in range(m)), reverse=True))
 
 
+def all_weights(m, lo, hi):
+    """Every weakly decreasing vector of length m with entries in [lo, hi]."""
+    return list(itertools.combinations_with_replacement(range(hi, lo - 1, -1), m))
+
+
+def lr_reference(mu, nu, m):
+    """``lr_by_tableaux`` with its shapes zero-padded to m rows, as
+    ``_lr_product`` gives them."""
+    return {k + (0,) * (m - len(k)): c for k, c in lr_by_tableaux(mu, nu, m).items()}
+
+
 class TestTensorGL:
     def test_worked_example(self):
         dec = tensor_gl((2, 1, 0), (2, 0, 0))
@@ -32,6 +46,12 @@ class TestTensorGL:
 
     def test_rank_two(self):
         assert tensor_gl((1, 0), (1, 0)) == {(2, 0): 1, (1, 1): 1}
+
+    def test_coefficient_above_one(self):
+        dec = tensor_gl((2, 1, 0), (2, 1, 0))
+        assert dec == {
+            (4, 2, 0): 1, (4, 1, 1): 1, (3, 3, 0): 1, (3, 2, 1): 2, (2, 2, 2): 1,
+        }
 
     def test_negative_weights(self):
         dec = tensor_gl((0, -1), (1, 0))
@@ -82,6 +102,36 @@ class TestTensorGL:
             tensor_gl((0, 1), (0, 0))
         with pytest.raises(ValueError):
             tensor_gl((1, 0), (1, 0, 0))
+
+
+class TestLRReference:
+    """The horizontal-strip pass against the per-shape tableau count and
+    against raw polynomial arithmetic."""
+
+    def test_all_small_weights(self):
+        count = 0
+        for m in range(1, 4):
+            for mu, nu in itertools.product(all_weights(m, -3, 3), repeat=2):
+                mu_p = tuple(x - mu[-1] for x in mu)
+                nu_p = tuple(x - nu[-1] for x in nu)
+                assert _lr_product(mu_p, nu_p) == lr_reference(mu_p, nu_p, m), (mu, nu)
+                count += 1
+        assert count == 7889
+
+    def test_seeded_partitions(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            m = rng.randint(4, 6)
+            mu, nu = (tuple(sorted((rng.randint(0, 5) for _ in range(m)), reverse=True)) for _ in range(2))
+            assert _lr_product(mu, nu) == lr_reference(mu, nu, m), (mu, nu)
+
+    def test_matches_brute_schur_product(self):
+        count = 0
+        for m in range(1, 4):
+            for mu, nu in itertools.product(all_weights(m, -2, 2), repeat=2):
+                assert tensor_gl(mu, nu) == brute_schur_product(mu, nu, m), (mu, nu)
+                count += 1
+        assert count == 1475
 
 
 class TestDimensions:
