@@ -21,12 +21,16 @@ backward map ``psi`` (triple to permutation).
 
 Anchoring conventions (the results below are anchor-independent, but the
 intermediate numberings are not): a channel or stream ball with the smallest
-window x gets label 1.  The channel numbering is the least labeling at or
-above its seed that satisfies the longest-path bounds: a ball strictly
-southeast of a translate of another ball carries a larger label than that
-translate.  The backward numbering is the greatest labeling at or below its
-seed that strictly increases along strict northwest order.  Neither depends
-on the order in which balls are visited.
+window x gets label 1.  Both numberings solve one constraint system, the
+longest-path bounds: a ball strictly southeast of a translate of another
+ball carries a larger label than that translate.  Each starts from a seed:
+the channel or stream translates strictly northwest of a ball bound its
+label, from below for a channel and from above for a stream.  The channel
+numbering is the least solution at or above its seed, the backward numbering
+the greatest solution at or below its seed.  Turning the balls by 180
+degrees (negating positions, values and labels) maps the one fixpoint onto
+the other, so one relaxation computes both.  Neither depends on the order in
+which balls are visited.
 """
 from __future__ import annotations
 
@@ -238,57 +242,82 @@ class Numbering:
         return table[r + 1] + q * self.step
 
 
-def _channel_labels(win: Win, n: int, channel: tuple[int, ...]) -> tuple[list, list, list]:
-    """Positions, values and labels of the balls of ``win``, numbered by
-    longest paths out of the channel's proper numbering (the channel ball
-    with the smallest window x is anchored at 1).  A translate of ball u by
-    k(n, n) lies strictly northwest of ball t up to k = min((x_t - x_u - 1) //
-    n, (v_t - v_u - 1) // n), so the bound is lab[t] >= lab[u] + k d + 1: a
-    max-plus relaxation that settles within m rounds for m balls, unless the
-    channel is not of maximum density."""
+def _balls(win: Win) -> tuple[list, list]:
+    """Positions and values of the balls of ``win``, in window order."""
     xs: list[int] = []
     vs: list[int] = []
     for i, v in enumerate(win):
         if v is not None:
             xs.append(i + 1)
             vs.append(v)
-    d = len(channel)
+    return xs, vs
+
+
+def _seed(xs: list, vs: list, sources, n: int, first: int) -> list:
+    """Seed each ball (xs[t], vs[t]) with max(l_s + k d) over the source
+    balls s = (x_s, v_s), where the i-th source (from 0) carries l_s = first
+    + i, d is the number of sources, and k = min((x_t - x_s - 1) // n, (v_t -
+    v_s - 1) // n) is the largest shift whose translate of s by k(n, n) lies
+    strictly northwest of ball t."""
+    d = len(sources)
+    lab = []
+    for x, v in zip(xs, vs):
+        best = None
+        for j, (sx, sy) in enumerate(sources, start=first):
+            k1 = (x - sx - 1) // n
+            k2 = (v - sy - 1) // n
+            cand = (k1 if k1 < k2 else k2) * d + j
+            if best is None or cand > best:
+                best = cand
+        lab.append(best)
+    return lab
+
+
+def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
+    """Lower the labels of the balls (xs[t], vs[t]) in place to the greatest
+    labeling at or below them that satisfies the longest-path bounds for
+    period shift d.  A translate of ball u by k(n, n) lies strictly southeast
+    of ball t from k = max((x_t - x_u) // n, (v_t - v_u) // n) + 1 on, so the
+    bound is lab[t] <= lab[u] + k d - 1: a min-plus relaxation that settles
+    within m rounds for m balls unless no such labeling exists.  Returns
+    whether it settled."""
     shifts = []
     for x, v in zip(xs, vs):
         row = []
         for xu, vu in zip(xs, vs):
-            k1 = (x - xu - 1) // n
-            k2 = (v - vu - 1) // n
-            row.append((k1 if k1 < k2 else k2) * d + 1)
+            k1 = (x - xu) // n
+            k2 = (v - vu) // n
+            row.append((k1 if k1 > k2 else k2) * d + d - 1)
         shifts.append(row)
-    base = {x: j for j, x in enumerate(sorted(channel), start=1)}
-    cols = [(u, base[x]) for u, x in enumerate(xs) if x in base]
-    # seed non-channel balls from the channel translates strictly northwest
-    lab = []
-    for x, row in zip(xs, shifts):
-        if x in base:
-            lab.append(base[x])
-        else:
-            best = None
-            for u, j in cols:
-                cand = j + row[u]
-                if best is None or cand > best:
-                    best = cand
-            lab.append(best)
     for _ in range(len(xs) + 2):
         changed = False
         for t, row in enumerate(shifts):
-            high = max(map(add, lab, row))
-            if high > lab[t]:
-                lab[t] = high
+            low = min(map(add, lab, row))
+            if low < lab[t]:
+                lab[t] = low
                 changed = True
         if not changed:
-            break
-    else:
+            return True
+    return False
+
+
+def _channel_labels(win: Win, n: int, channel: tuple[int, ...]) -> tuple[list, list, list]:
+    """Positions, values and labels of the balls of ``win``, numbered by
+    longest paths out of the channel's proper numbering (the channel ball
+    with the smallest window x is anchored at 1): the least labeling at or
+    above the seed that satisfies the longest-path bounds, computed by
+    ``_settle`` on the balls turned by 180 degrees.  It exists unless the
+    channel is not of maximum density."""
+    xs, vs = _balls(win)
+    chan = sorted(channel)
+    lab = [-label for label in _seed(xs, vs, [(x, win[x - 1]) for x in chan], n, 2)]
+    if not _settle([-x for x in xs], [-v for v in vs], lab, n, len(chan)):
         raise InvariantError(
             f"channel numbering failed to stabilize: n={n}, window={tuple(win)}, "
             f"channel={tuple(channel)}"
         )
+    lab = [-label for label in lab]
+    base = {x: j for j, x in enumerate(chan, start=1)}
     for x, label in zip(xs, lab):
         if x in base and label != base[x]:
             raise InvariantError(
@@ -341,7 +370,10 @@ def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
         balls.sort(reverse=True)
         for t in range(len(balls) - 1):
             if balls[t][1] >= balls[t + 1][1]:
-                raise InvariantError(f"zigzag balls out of order: {balls}")
+                raise InvariantError(
+                    f"zigzag balls out of order: {balls}; n={n}, d={d}, "
+                    f"balls={list(zip(xs, vs))}, labels={lab}"
+                )
         out.append(balls)
     return out
 
@@ -370,7 +402,10 @@ def _place(out: list, n: int, x: int, y: int) -> None:
     q = (x - 1) // n
     r = x - q * n - 1
     if out[r] is not None:
-        raise InvariantError(f"window position {r + 1} produced twice")
+        raise InvariantError(
+            f"window position {r + 1} produced twice: n={n}, ball={(x, y)}, "
+            f"window so far={tuple(out)}"
+        )
     out[r] = y - q * n
 
 
@@ -435,68 +470,25 @@ def phi(w: AffinePerm) -> DomTriple:
     p_rows, q_rows, rho = _phi_win(w.window, w.n)
     triple = DomTriple(Tabloid(w.n, p_rows), Tabloid(w.n, q_rows), rho)
     if not is_dominant_wrt(rho, triple.p, triple.q):
-        raise InvariantError(f"forward map left the dominant image: {triple}")
+        raise InvariantError(
+            f"forward map left the dominant image: n={w.n}, window={w.window}, {triple}"
+        )
     return triple
 
 
 # --- backward step ------------------------------------------------------------
 
 
-def _settle_lists(xs: list, vs: list, lab: list, n: int, spairs) -> None:
-    """Lower the labels of the balls (xs[t], vs[t]) in place to the greatest
-    labeling at or below them that strictly increases along strict northwest
-    order against a stream of density d = len(spairs).  A translate of ball u
-    by k(n, n) lies strictly southeast of ball t from k = max((x_t - x_u) // n,
-    (v_t - v_u) // n) + 1 on, so the bound is lab[t] <= lab[u] + k d - 1: a
-    min-plus relaxation that settles within m rounds for m balls, unless no
-    such labeling exists (balls incompatible with the stream)."""
-    d = len(spairs)
-    shifts = []
-    for x, v in zip(xs, vs):
-        row = []
-        for xu, vu in zip(xs, vs):
-            k1 = (x - xu) // n
-            k2 = (v - vu) // n
-            row.append((k1 if k1 > k2 else k2) * d + d - 1)
-        shifts.append(row)
-    for _ in range(len(xs) + 2):
-        changed = False
-        for t, row in enumerate(shifts):
-            low = min(map(add, lab, row))
-            if low < lab[t]:
-                lab[t] = low
-                changed = True
-        if not changed:
-            return
-    raise InvariantError(
-        f"backward numbering did not settle: n={n}, balls={list(zip(xs, vs))}, "
-        f"stream={tuple(spairs)}"
-    )
-
-
-def _bk_seed(xs: list, vs: list, spairs, n: int) -> list:
-    """Seed each ball (xs[t], vs[t]) with the largest label a stream
-    translate strictly northwest of it allows."""
-    d = len(spairs)
-    lab = []
-    for x, v in zip(xs, vs):
-        best = None
-        for j, (sx, sy) in enumerate(spairs, start=1):
-            k1 = (x - sx - 1) // n
-            k2 = (v - sy - 1) // n
-            cand = (k1 if k1 < k2 else k2) * d + j
-            if best is None or cand > best:
-                best = cand
-        lab.append(best)
-    return lab
-
-
 def _bk_labels(xs: list, vs: list, spairs, n: int) -> list:
     """The stabilized backward labels of the balls (xs[t], vs[t]) against the
     stream balls ``spairs``: the greatest labeling at or below the seed that
     strictly increases along strict northwest order."""
-    lab = _bk_seed(xs, vs, spairs, n)
-    _settle_lists(xs, vs, lab, n, spairs)
+    lab = _seed(xs, vs, spairs, n, 1)
+    if not _settle(xs, vs, lab, n, len(spairs)):
+        raise InvariantError(
+            f"backward numbering did not settle: n={n}, balls={list(zip(xs, vs))}, "
+            f"stream={tuple(spairs)}"
+        )
     return lab
 
 
@@ -509,8 +501,8 @@ def backward_numbering(w: PartialPerm, s: Stream) -> Numbering:
     stream ball with the smallest window x is anchored at 1).
     """
     _check_compatible(w, s)
-    xs = list(w.domain())
-    lab = _bk_labels(xs, [w.window[x - 1] for x in xs], s.pairs, w.n)
+    xs, vs = _balls(w.window)
+    lab = _bk_labels(xs, vs, s.pairs, w.n)
     return Numbering(w.n, s.density(), tuple(zip(xs, lab)))
 
 
@@ -526,12 +518,7 @@ def _check_compatible(w: PartialPerm, s: Stream) -> None:
 
 
 def _bk_win(win: Win, n: int, spairs) -> Win:
-    xs: list[int] = []
-    vs: list[int] = []
-    for i, v in enumerate(win):
-        if v is not None:
-            xs.append(i + 1)
-            vs.append(v)
+    xs, vs = _balls(win)
     lab = _bk_labels(xs, vs, spairs, n)
     # inner corner-posts of the zigzag behind stream ball (sx, sy) with balls
     # (x1, y1), ..., (xr, yr): (x1, sy), (x2, y1), ..., (sx, yr)

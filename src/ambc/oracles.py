@@ -85,8 +85,9 @@ def settle_by_decrement(
     with a label at most its own, and (ii) has only strictly smaller labels
     strictly northwest of it.  It stops when no ball qualifies, at the
     greatest labeling at or below ``lab`` that strictly increases along strict
-    northwest order, whatever the scan order; ``matrixball._settle_lists``
-    reaches the same labeling by min-plus relaxation.
+    northwest order, whatever the scan order; ``matrixball._bk_labels``
+    reaches the same labeling from ``matrixball._seed`` by the min-plus
+    relaxation ``matrixball._settle``.
     """
     lab = list(lab)
     m = len(xs)
@@ -125,8 +126,9 @@ def channel_labels_round_robin(win, n: int, channel: Sequence[int]) -> dict[int,
     lab[j] + k d + 1 for the largest k whose translate of j by k(n, n) lies
     strictly northwest of x.  It stops at the least labeling at or above the
     seed that satisfies every such bound, whatever the visiting order;
-    ``matrixball._channel_labels`` reaches the same labeling by a max-plus
-    relaxation over a shift table.
+    ``matrixball._channel_labels`` reaches the same labeling from
+    ``matrixball._seed`` by running ``matrixball._settle`` on the balls
+    turned by 180 degrees.
     """
     dom = [i + 1 for i, v in enumerate(win) if v is not None]
     d = len(channel)

@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .affine import check_partition, conjugate_partition, residue
@@ -63,7 +62,6 @@ class Tabloid:
         return _row_index(self.rows)[i]
 
 
-@lru_cache(maxsize=200000)
 def _row_index(rows: Rows) -> dict[int, int]:
     return {x: t for t, row in enumerate(rows, start=1) for x in row}
 
@@ -78,7 +76,6 @@ def tau(t: Tabloid) -> frozenset[int]:
     return frozenset(tau_rows(t.rows, t.n))
 
 
-@lru_cache(maxsize=200000)
 def tau_rows(rows: Rows, n: int) -> tuple[int, ...]:
     idx = _row_index(rows)
     return tuple(i for i in range(1, n + 1) if idx[i] < idx[i % n + 1])

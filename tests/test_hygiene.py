@@ -1,14 +1,14 @@
 """Source hygiene: every imported name in the library and the tests is read,
-and the library checks its invariants without ``assert`` (which ``python -O``
+every private module-level name of the library is read somewhere, and the
+library checks its invariants without ``assert`` (which ``python -O``
 strips)."""
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "ambc").glob("*.py"))
-SOURCES = sorted(
-    [p for p in LIBRARY if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
-)
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted([p for p in LIBRARY if p.name != "__init__.py"] + TESTS)
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -72,5 +72,54 @@ def test_no_asserts_in_library():
         f"{path.relative_to(ROOT)}:{line}"
         for path in LIBRARY
         for line in assert_lines(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every module-level function, class or assignment whose
+    name starts with one underscore and is not a dunder."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return [(line, name) for line, name in found if name[:1] == "_" and name[:2] != "__"]
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Names loaded, attributes accessed and names imported from a module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_scanner_finds_dead_private_names():
+    tree = ast.parse(
+        "_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = _A\n"
+        "def _f():\n    return _g()\ndef _g():\n    pass\nclass _C:\n    pass\n"
+        "def _h():\n    pass\n"
+    )
+    read = names_read(tree) | names_read(ast.parse("import m\nm._h()\n"))
+    dead = [(line, name) for line, name in private_definitions(tree) if name not in read]
+    assert dead == [(2, "_B"), (5, "_f"), (9, "_C")]
+
+
+def test_no_dead_private_names():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY + TESTS}
+    read = set().union(*map(names_read, trees.values()))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in LIBRARY
+        for line, name in private_definitions(trees[path])
+        if name not in read
     ]
     assert not found, found

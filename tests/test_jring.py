@@ -6,6 +6,7 @@ from ambc.affine import (
     AffinePerm,
     compose,
     identity,
+    inverse,
     parse_window,
     partitions,
     shift,
@@ -223,6 +224,22 @@ class TestStructure:
                     s_pr = offset_constants(p, r)
                     expected = psi(p, r, tuple(a + b + c for a, b, c in zip(s_pr, det, rho_v)))
                     assert t_multiply(u, v) == {expected: 1}
+
+
+class TestAntiInvolution:
+    def test_inverse_reverses_products(self):
+        # J is anti-involutive under w -> w^-1: t_u t_v = sum c_z t_z implies
+        # t_{v^-1} t_{u^-1} = sum c_z t_{z^-1}; inverses come from windows
+        rng = random.Random(29)
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            lam = rng.choice(list(partitions(n)))
+            tabs = list(enumerate_tabloids(lam))
+            q = rng.choice(tabs)
+            u, _, _ = random_cell_element(rng, lam, tabs, None, q)
+            v, _, _ = random_cell_element(rng, lam, tabs, q, None)
+            expected = {inverse(z): c for z, c in t_multiply(u, v).items()}
+            assert t_multiply(inverse(v), inverse(u)) == expected, (u, v)
 
 
 class TestUpsilon:

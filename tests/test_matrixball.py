@@ -21,7 +21,6 @@ from ambc.matrixball import (
     _bk_win,
     _channel_labels,
     _psi_rows,
-    _settle_lists,
     backward_numbering,
     backward_step,
     channel_numbering,
@@ -199,6 +198,21 @@ class TestForwardStep:
         with pytest.raises(ValueError):
             forward_step(PartialPerm(2, (None, None)))
 
+    def test_position_twice_names_input(self, monkeypatch):
+        # two one-ball zigzags over one position emit two stream balls there
+        monkeypatch.setattr(matrixball, "_forward_zigzags", lambda win, n: [[(1, 1)], [(3, 1)]])
+        msg = r"position 1 produced twice: n=2, ball=\(3, 1\), window so far=\(1, None\)"
+        with pytest.raises(InvariantError, match=msg):
+            forward_step(PartialPerm(2, (1, 2)))
+
+    def test_zigzag_order_names_input(self, monkeypatch):
+        # one label on a chain of two balls: the zigzag's values descend
+        labelled = ([1, 2], [1, 2], [1, 1])
+        monkeypatch.setattr(matrixball, "_channel_labels", lambda win, n, channel: labelled)
+        msg = r"n=2, d=2, balls=\[\(1, 1\), \(2, 2\)\], labels=\[1, 1\]"
+        with pytest.raises(InvariantError, match=msg):
+            forward_step(PartialPerm(2, (1, 2)))
+
 
 class TestPhi:
     def test_unterminated_names_input(self, monkeypatch):
@@ -207,6 +221,12 @@ class TestPhi:
         msg = r"within n steps: n=2, window=\(2, 1\)"
         with pytest.raises(InvariantError, match=msg):
             phi(AffinePerm(2, (2, 1)))
+
+    def test_not_dominant_names_input(self, monkeypatch):
+        monkeypatch.setattr(matrixball, "is_dominant_wrt", lambda rho, p, q: False)
+        msg = r"left the dominant image: n=3, window=\(2, 1, 3\)"
+        with pytest.raises(InvariantError, match=msg):
+            phi(AffinePerm(3, (2, 1, 3)))
 
     def test_golden(self, golden9):
         t = phi(AffinePerm(9, golden9["w"]))
@@ -310,7 +330,7 @@ class TestBackwardNumbering:
         # increases along the balls and their translates
         msg = r"n=3, balls=\[\(1, 1\), \(2, 2\)\], stream=\(\(3, 3\),\)"
         with pytest.raises(InvariantError, match=msg):
-            _settle_lists([1, 2], [1, 2], [0, 1], 3, ((3, 3),))
+            _bk_labels([1, 2], [1, 2], ((3, 3),), 3)
 
     def test_incompatible_stream(self):
         w = PartialPerm(4, (1, None, None, None))

@@ -6,13 +6,13 @@ import pytest
 from ambc.affine import AffinePerm, PartialPerm, identity, partitions
 from ambc.matrixball import (
     _bk_labels,
-    _bk_seed,
     _bk_win,
     _channel_labels,
     _forward_win,
     _forward_zigzags,
     _max_density,
     _phi_win,
+    _seed,
     _southwest_channel,
     _stream_pairs_for,
     channels,
@@ -72,7 +72,7 @@ class TestSettleByDecrement:
     @staticmethod
     def check(win, n):
         for xs, vs, spairs in backward_steps(win, n):
-            seed = _bk_seed(xs, vs, spairs, n)
+            seed = _seed(xs, vs, spairs, n, 1)
             expected = settle_by_decrement(xs, vs, seed, n, len(spairs))
             assert _bk_labels(xs, vs, spairs, n) == expected, (win, xs, vs, spairs)
 
