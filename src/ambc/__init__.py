@@ -52,7 +52,6 @@ from .tabloids import (
     offset_constants,
     omega_tabloid,
     rev_lambda,
-    star_tabloid,
     tau,
 )
 from .cells import (
@@ -64,6 +63,8 @@ from .cells import (
     right_cell,
     star_left,
     star_right,
+    star_tabloid,
+    upsilon,
     xi_epsilon,
 )
 from .repring import (
@@ -79,7 +80,6 @@ from .jring import (
     sl_reduce,
     t_multiply,
     unit,
-    upsilon,
 )
 from .lusztig_vogan import (
     LVPair,

@@ -1,7 +1,9 @@
 """
 Kazhdan-Lusztig cell labels through the matrix-ball construction, star
-operations on affine permutations, distinguished involutions, and the
-bijection between a diagonal cell intersection and dominant weights.
+operations on affine permutations and their tabloid side T -> T*,
+distinguished involutions, the matrix-algebra coordinates Upsilon(w) =
+(P, Q, weight) with their inverse, and the bijection between a diagonal cell
+intersection and dominant weights.
 
 Cell membership is decided entirely by the forward map: two elements share a
 left cell exactly when their Q-tabloids agree, a right cell when their
@@ -10,15 +12,21 @@ is a distinguished involution exactly when its image is (T, T, 0).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .affine import AffinePerm, inverse
-from .matrixball import phi, psi
+from .affine import AffinePerm, inverse, residue
+from .matrixball import _phi_win, _psi_rows, phi, psi
+from .repring import FWeight, fweight_from_rows
 from .tabloids import (
+    Rows,
     Tabloid,
     anticanonical_tabloid,
     enumerate_tabloids,
+    equal_part_runs,
+    offset_constants,
     rev_lambda,
 )
 
@@ -106,6 +114,60 @@ def star_left(w: AffinePerm, i: int) -> Optional[AffinePerm]:
     return None if s is None else inverse(s)
 
 
+def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
+    """
+    The tabloid side of the Knuth move at residue i: the swap of residues i
+    and i+1 (cyclically), defined exactly when every Knuth-admissible window
+    swap at positions (i, i+1) inside the left cell labeled by t lands in the
+    left cell labeled by the swapped tabloid.  Returns None when undefined
+    (in particular whenever i and i+1 share a row, or n < 3).
+
+    Decided by probing the cell along the diagonal: the words psi(t, t, rho)
+    over small dominant altitude vectors realize every admissibility pattern;
+    results are cached per (tabloid, residue).
+    """
+    n = t.n
+    if n < 3:
+        return None
+    i = residue(i, n)
+    hit = _star_probe(n, t.rows, i)
+    if hit is None or _star_probe(n, hit, i) != t.rows:
+        return None
+    return Tabloid(n, hit)
+
+
+@lru_cache(maxsize=None)
+def _star_probe(n: int, rows: Rows, i: int) -> Optional[Rows]:
+    """The rows with residues i and i+1 swapped if every star move at i of
+    psi(rows, rows, rho), over the probe altitudes rho, has that Q-tabloid;
+    otherwise None."""
+    j = i % n + 1
+    if any(i in row and j in row for row in rows):
+        return None
+    swapped = tuple(
+        tuple(sorted(j if x == i else i if x == j else x for x in row)) for row in rows
+    )
+    images = set()
+    for rho in _probe_altitudes(tuple(len(row) for row in rows)):
+        win = _star_window(_psi_rows(rows, rows, rho, n), n, i)
+        if win is None:
+            continue
+        images.add(_phi_win(win, n)[1])
+        if len(images) > 1:
+            return None
+    return swapped if images == {swapped} else None
+
+
+def _probe_altitudes(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    out = []
+    for rho in itertools.product((-1, 0, 1), repeat=len(lam)):
+        if all(
+            rho[k] <= rho[k + 1] for a, b in equal_part_runs(lam) for k in range(a, b - 1)
+        ):
+            out.append(rho)
+    return out
+
+
 def is_distinguished(w: AffinePerm) -> bool:
     """
     True iff w is a distinguished involution: the forward map sends it to
@@ -128,15 +190,42 @@ def distinguished_involutions(lam: Sequence[int], n: int) -> list[AffinePerm]:
     return [psi(t, t, zero) for t in enumerate_tabloids(lam, n)]
 
 
-def xi_epsilon(w: AffinePerm) -> tuple[int, ...]:
+def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:
     """
-    The dominant weight attached to an element of the diagonal intersection
-    of the anti-canonical left cell with its inverse: rev_lambda of the
-    altitude vector.  Raises ValueError off that diagonal.
+    The matrix-algebra coordinates of t_w: the row label P(w), the column
+    label Q(w), and the representation-ring entry, i.e. the block reversal of
+    the altitude vector after subtracting the offset constants.
     """
     t = phi(w)
     lam = t.shape()
-    anti = anticanonical_tabloid(lam)
-    if t.p != anti or t.q != anti:
+    s = offset_constants(t.p, t.q)
+    rho = tuple(r - c for r, c in zip(t.rho, s))
+    return t.p, t.q, fweight_from_rows(lam, rev_lambda(lam, rho))
+
+
+def upsilon_inverse(p: Tabloid, q: Tabloid, weight: FWeight) -> AffinePerm:
+    """
+    The element with coordinates (P, Q, weight): the backward image of P, Q
+    and the altitude vector s_{P,Q} + rev_lambda(weight).
+
+    >>> from .affine import parse_window
+    >>> w = parse_window("[-1,3,10,-5,14,-3,18,7,2]")
+    >>> upsilon_inverse(*upsilon(w)) == w
+    True
+    """
+    rho = rev_lambda(p.shape(), weight.flatten())
+    return psi(p, q, tuple(c + r for c, r in zip(offset_constants(p, q), rho)))
+
+
+def xi_epsilon(w: AffinePerm) -> tuple[int, ...]:
+    """
+    The dominant weight attached to an element of the diagonal intersection
+    of the anti-canonical left cell with its inverse: the weight of
+    upsilon(w) as a row vector (the offset constants of a diagonal pair
+    vanish).  Raises ValueError off that diagonal.
+    """
+    p, q, weight = upsilon(w)
+    anti = anticanonical_tabloid(p.shape())
+    if p != anti or q != anti:
         raise ValueError("xi_epsilon needs P(w) = Q(w) = the column superstandard tabloid")
-    return rev_lambda(lam, t.rho)
+    return weight.flatten()

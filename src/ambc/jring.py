@@ -7,8 +7,9 @@ rows and columns indexed by the P- and Q-tabloids and entries read off by
 the forward map.
 
 Concretely, t_u * t_v vanishes unless the shapes agree and Q(u) = P(v);
-otherwise the normalized weights tensor-multiply in the representation ring
-and each summand is carried back through the backward map.
+otherwise the weights of the coordinates upsilon(u), upsilon(v) (defined in
+``cells``) tensor-multiply in the representation ring and each summand is
+carried back through upsilon_inverse.
 """
 from __future__ import annotations
 
@@ -17,29 +18,15 @@ import re
 from typing import Sequence
 
 from .affine import AffinePerm, parse_window, format_window
-from .cells import distinguished_involutions
+from .cells import distinguished_involutions, upsilon, upsilon_inverse
 from .matrixball import phi, psi
-from .repring import FWeight, fweight_from_rows, tensor_f
-from .tabloids import Tabloid, offset_constants, rev_lambda
+from .repring import tensor_f
 
 JElement = dict  # AffinePerm -> nonzero integer coefficient
 
 
 def t_basis(w: AffinePerm) -> JElement:
     return {w: 1}
-
-
-def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:
-    """
-    The matrix-algebra coordinates of t_w: the row label P(w), the column
-    label Q(w), and the representation-ring entry, i.e. the block reversal of
-    the altitude vector after subtracting the offset constants.
-    """
-    t = phi(w)
-    lam = t.shape()
-    s = offset_constants(t.p, t.q)
-    rho = tuple(r - c for r, c in zip(t.rho, s))
-    return t.p, t.q, fweight_from_rows(lam, rev_lambda(lam, rho))
 
 
 def t_multiply(u: AffinePerm, v: AffinePerm) -> JElement:
@@ -56,12 +43,9 @@ def t_multiply(u: AffinePerm, v: AffinePerm) -> JElement:
     pv, qv, wv = upsilon(v)
     if qu != pv:  # tabloids of different shapes never agree
         return {}
-    lam = pu.shape()
-    s_out = offset_constants(pu, qv)
     out: JElement = {}
     for weight, mult in tensor_f(wu, wv).items():
-        rho = rev_lambda(lam, weight.flatten())
-        w_out = psi(pu, qv, tuple(a + b for a, b in zip(s_out, rho)))
+        w_out = upsilon_inverse(pu, qv, weight)
         out[w_out] = out.get(w_out, 0) + mult
     return out
 

@@ -29,9 +29,9 @@ from .affine import (
     min_double_coset_rep,
     window_diagonals,
 )
-from .matrixball import phi, psi
-from .repring import FWeight, check_gl_weight, fweight_from_rows, zero_fweight
-from .tabloids import canonical_tabloid, equal_part_runs, rev_lambda
+from .cells import upsilon, upsilon_inverse
+from .repring import FWeight, check_gl_weight, zero_fweight
+from .tabloids import canonical_tabloid, equal_part_runs
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,13 @@ def theta1(mu: Sequence[int]) -> LVPair:
     True
     """
     mu = check_gl_weight(mu)
-    w = min_double_coset_rep(from_dominant_weight(mu))
-    t = phi(w)
-    lam = t.shape()
-    can = canonical_tabloid(lam)
-    if t.p != can or t.q != can:
+    p, q, weight = upsilon(min_double_coset_rep(from_dominant_weight(mu)))
+    can = canonical_tabloid(p.shape())
+    if p != can or q != can:
         raise InvariantError(
-            f"double-coset representative escaped the canonical cell: {t.p.rows} vs {can.rows}"
+            f"double-coset representative escaped the canonical cell: {p.rows} vs {can.rows}"
         )
-    return LVPair(lam, fweight_from_rows(lam, rev_lambda(lam, t.rho)))
+    return LVPair(p.shape(), weight)
 
 
 def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:
@@ -83,9 +81,8 @@ def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:
 
 def lv_window(lam: Sequence[int], weight: FWeight) -> AffinePerm:
     """The canonical-cell window representing (lam, weight)."""
-    lam = check_partition(lam)
     can = canonical_tabloid(lam)
-    return psi(can, can, rev_lambda(lam, weight.flatten()))
+    return upsilon_inverse(can, can, weight)
 
 
 def w_tableau_zero(lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -34,6 +34,7 @@ which balls are visited.
 """
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,7 +42,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div
-from .tabloids import Rows, Tabloid, is_dominant_wrt
+from .tabloids import Rows, Tabloid, is_dominant_wrt, tabloid_from_lists
 
 Win = tuple  # window tuple with int or None entries
 
@@ -392,19 +393,22 @@ def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
     stream: list = [None] * n
     for balls in _forward_zigzags(win, n):
         for t in range(len(balls) - 1):
-            _place(out, n, balls[t][0], balls[t + 1][1])
-        _place(stream, n, balls[-1][0], balls[0][1])
+            _place(out, n, balls[t][0], balls[t + 1][1], win)
+        _place(stream, n, balls[-1][0], balls[0][1], win)
     return tuple(out), tuple((x, y) for x, y in enumerate(stream, start=1) if y is not None)
 
 
-def _place(out: list, n: int, x: int, y: int) -> None:
-    """Put the ball (x, y) into the window ``out`` as its translate over 1..n."""
+def _place(out: list, n: int, x: int, y: int, win: Win, spairs=None) -> None:
+    """Put the ball (x, y) into the window ``out`` as its translate over 1..n;
+    ``win`` and ``spairs`` are the step's input window and stream, named if
+    the position is already taken."""
     q = (x - 1) // n
     r = x - q * n - 1
     if out[r] is not None:
+        stream = "" if spairs is None else f", stream={tuple(spairs)}"
         raise InvariantError(
-            f"window position {r + 1} produced twice: n={n}, ball={(x, y)}, "
-            f"window so far={tuple(out)}"
+            f"window position {r + 1} produced twice: n={n}, window={win}{stream}, "
+            f"ball={(x, y)}, output so far={tuple(out)}"
         )
     out[r] = y - q * n
 
@@ -526,9 +530,9 @@ def _bk_win(win: Win, n: int, spairs) -> Win:
     for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs), 1)):
         y = sy
         for bx, by in balls:
-            _place(out, n, bx, y)
+            _place(out, n, bx, y, win, spairs)
             y = by
-        _place(out, n, sx, y)
+        _place(out, n, sx, y, win, spairs)
     return tuple(out)
 
 
@@ -604,8 +608,6 @@ def psi_triple(t: DomTriple) -> AffinePerm:
 
 
 def format_triple(t: DomTriple) -> str:
-    import json
-
     return json.dumps(
         {"p": [list(r) for r in t.p.rows], "q": [list(r) for r in t.q.rows], "rho": list(t.rho)},
         separators=(",", ":"),
@@ -614,10 +616,6 @@ def format_triple(t: DomTriple) -> str:
 
 def parse_triple(text: str, n: Optional[int] = None) -> DomTriple:
     """Parse the JSON triple format {"p": rows, "q": rows, "rho": [ints]}."""
-    import json
-
-    from .tabloids import tabloid_from_lists
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div
-from .matrixball import Stream, channels, phi
+from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div, partitions
+from .matrixball import Stream, _phi_win, channels, phi, psi, psi_triple
 from .repring import VirtualChar, check_gl_weight, tensor_gl
-from .tabloids import equal_part_runs, rev_lambda
+from .tabloids import anticanonical_tabloid, equal_part_runs, rev_lambda
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,6 @@ def brute_complete_stream_families(w: PartialPerm) -> list[tuple[tuple[int, ...]
     if isinstance(w, AffinePerm):
         lam = phi(w).shape()
     else:
-        from .matrixball import _phi_win
-
         lam = tuple(len(r) for r in _phi_win(w.window, w.n)[0])
     dom = w.domain()
     families: list[tuple[tuple[int, ...], ...]] = []
@@ -400,10 +398,6 @@ def self_check(seed: int = 20240601, samples: int = 60) -> list[OracleReport]:
     stream-family altitudes, and tensor products against raw polynomial
     arithmetic.
     """
-    from .matrixball import psi_triple
-    from .tabloids import anticanonical_tabloid
-    from .matrixball import psi
-
     rng = random.Random(seed)
     reports: list[OracleReport] = []
 
@@ -422,8 +416,6 @@ def self_check(seed: int = 20240601, samples: int = 60) -> list[OracleReport]:
 
     count = 0
     for n in range(2, 8):
-        from .affine import partitions
-
         for lam in partitions(n):
             anti = anticanonical_tabloid(lam)
             for _ in range(3):

@@ -10,8 +10,9 @@ matrix-ball construction needs:
 * local charges and symmetrized offset constants s_{P,Q},
 * the block reversal rev_lambda and the dominance test that cuts out the
   image of the forward construction,
-* the residue shift T -> omega(T) and the conditional swap T -> T* (the
-  tabloid side of Knuth moves), with their indicator vectors delta and iota.
+* the residue shift T -> omega(T), and the indicator vectors delta and iota
+  of the tabloid side of Knuth moves (the move T -> T* itself is decided in
+  ``cells``, by the forward and backward maps).
 
 Offset constants follow the recurrence s_i - s_{i-1} = lch_{i-1}(P) -
 lch_{i-1}(Q) on equal-part runs, with s_i = 0 whenever row i starts a new
@@ -219,74 +220,6 @@ def omega_tabloid(t: Tabloid) -> Tabloid:
 
 def omega_rows(rows: Rows, n: int) -> Rows:
     return tuple(tuple(sorted(x % n + 1 for x in row)) for row in rows)
-
-
-_STAR_CACHE: dict = {}
-
-
-def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
-    """
-    The tabloid side of the Knuth move at residue i: the swap of residues i
-    and i+1 (cyclically), defined exactly when every Knuth-admissible window
-    swap at positions (i, i+1) inside the left cell labeled by t lands in the
-    left cell labeled by the swapped tabloid.  Returns None when undefined
-    (in particular whenever i and i+1 share a row, or n < 3).
-
-    Decided by probing the cell along the diagonal: the words psi(t, t, rho)
-    over small dominant altitude vectors realize every admissibility pattern;
-    results are cached per (tabloid, residue).
-    """
-    n = t.n
-    if n < 3:
-        return None
-    i = residue(i, n)
-    hit = _probe_cached(n, t.rows, i)
-    if hit is None or _probe_cached(n, hit, i) != t.rows:
-        return None
-    return Tabloid(n, hit)
-
-
-def _probe_cached(n: int, rows: Rows, i: int) -> Optional[Rows]:
-    key = (n, rows, i)
-    if key not in _STAR_CACHE:
-        _STAR_CACHE[key] = _star_probe(Tabloid(n, rows), i)
-    return _STAR_CACHE[key]
-
-
-def _star_probe(t: Tabloid, i: int) -> Optional[Rows]:
-    from .cells import star_right  # deferred: cells builds on this module
-    from .matrixball import _phi_win, _psi_rows
-
-    n = t.n
-    j = i % n + 1
-    idx = _row_index(t.rows)
-    if idx[i] == idx[j]:
-        return None
-    swapped = tuple(
-        tuple(sorted(j if x == i else i if x == j else x for x in row)) for row in t.rows
-    )
-    from .affine import AffinePerm
-
-    images = set()
-    for rho in _probe_altitudes(t.shape()):
-        w = AffinePerm(n, _psi_rows(t.rows, t.rows, rho, n))
-        ws = star_right(w, i)
-        if ws is None:
-            continue
-        images.add(_phi_win(ws.window, n)[1])
-        if len(images) > 1:
-            return None
-    return swapped if images == {swapped} else None
-
-
-def _probe_altitudes(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for rho in itertools.product((-1, 0, 1), repeat=len(lam)):
-        if all(
-            rho[k] <= rho[k + 1] for a, b in equal_part_runs(lam) for k in range(a, b - 1)
-        ):
-            out.append(rho)
-    return out
 
 
 def iota_vec(t: Tabloid, i: int) -> RowVector:

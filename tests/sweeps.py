@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from ambc.affine import _inverse_window, partitions
-from ambc.cells import _star_window
+from ambc.cells import _star_window, star_tabloid
 from ambc.matrixball import _psi_rows, psi_cache_clear
 from ambc.tabloids import (
     Tabloid,
@@ -22,7 +22,6 @@ from ambc.tabloids import (
     iota_vec,
     offset_rows,
     omega_rows,
-    star_tabloid,
 )
 
 BOX = 2  # altitude entries swept over [-BOX, BOX]

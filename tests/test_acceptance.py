@@ -25,7 +25,7 @@ from ambc.affine import (
     partitions,
     shift,
 )
-from ambc.cells import is_distinguished, star_right
+from ambc.cells import is_distinguished, star_right, star_tabloid
 from ambc.jring import j_multiply, pgl_member, t_basis, t_multiply, unit
 from ambc.lusztig_vogan import (
     LVPair,
@@ -45,7 +45,6 @@ from ambc.tabloids import (
     enumerate_tabloids,
     offset_constants,
     rev_lambda,
-    star_tabloid,
 )
 
 from conftest import dominant_diffs, random_cell_element

@@ -24,6 +24,7 @@ from ambc.cells import (
     right_cell,
     star_left,
     star_right,
+    star_tabloid,
     xi_epsilon,
 )
 from ambc.matrixball import phi, psi
@@ -32,7 +33,6 @@ from ambc.tabloids import (
     canonical_tabloid,
     count_tabloids,
     enumerate_tabloids,
-    star_tabloid,
 )
 
 from conftest import dominant_diffs, random_cell_element

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the library and the tests is read,
-every private module-level name of the library is read somewhere, and the
-library checks its invariants without ``assert`` (which ``python -O``
-strips)."""
+every private module-level name of the library is read somewhere, the
+library imports only at module level (so its import graph is the one its
+headers show), and it checks its invariants without ``assert`` (which
+``python -O`` strips)."""
 import ast
 from pathlib import Path
 
@@ -54,6 +55,36 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path)))
     }
     assert not found, sorted(found)
+
+
+def nested_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name of the innermost enclosing function or class) of every
+    import inside a function or class body."""
+    found = {}
+    for scope in ast.walk(tree):  # breadth first: inner scopes overwrite outer ones
+        if isinstance(scope, SCOPES):
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found[node.lineno] = scope.name
+    return sorted(found.items())
+
+
+def test_scanner_finds_nested_imports():
+    tree = ast.parse(
+        "import os\ndef f():\n    import json\n    def g():\n        from a import b\n"
+        "class C:\n    import re\nif os:\n    import sys\n"
+    )
+    assert nested_imports(tree) == [(3, "f"), (5, "g"), (7, "C")]
+
+
+def test_no_imports_inside_library_functions():
+    assert LIBRARY
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in LIBRARY
+        for line, name in nested_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
 
 
 def assert_lines(tree: ast.AST) -> list[int]:

@@ -11,6 +11,7 @@ from ambc.affine import (
     partitions,
     shift,
 )
+from ambc.cells import is_distinguished
 from ambc.jring import (
     format_jelement,
     j_multiply,
@@ -226,20 +227,51 @@ class TestStructure:
                     assert t_multiply(u, v) == {expected: 1}
 
 
+def random_products(seed: int, count: int):
+    """``count`` seeded composable pairs (x, y), Q(x) = P(y), with 2 <= n <= 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lam = rng.choice(list(partitions(rng.randint(2, 5))))
+        tabs = list(enumerate_tabloids(lam))
+        q = rng.choice(tabs)
+        x, _, _ = random_cell_element(rng, lam, tabs, None, q)
+        y, _, _ = random_cell_element(rng, lam, tabs, q, None)
+        yield x, y
+
+
 class TestAntiInvolution:
     def test_inverse_reverses_products(self):
         # J is anti-involutive under w -> w^-1: t_u t_v = sum c_z t_z implies
         # t_{v^-1} t_{u^-1} = sum c_z t_{z^-1}; inverses come from windows
-        rng = random.Random(29)
-        for _ in range(500):
-            n = rng.randint(2, 5)
-            lam = rng.choice(list(partitions(n)))
-            tabs = list(enumerate_tabloids(lam))
-            q = rng.choice(tabs)
-            u, _, _ = random_cell_element(rng, lam, tabs, None, q)
-            v, _, _ = random_cell_element(rng, lam, tabs, q, None)
+        for u, v in random_products(29, 500):
             expected = {inverse(z): c for z, c in t_multiply(u, v).items()}
             assert t_multiply(inverse(v), inverse(u)) == expected, (u, v)
+
+
+class TestGroupLevelIdentities:
+    # identities J satisfies for group-level reasons (Lusztig, Cells in affine
+    # Weyl groups II); inverses come from windows, not through the forward map
+
+    def test_cyclic_symmetry(self):
+        # gamma_{x,y,z}, the coefficient of t_{z^-1} in t_x t_y, equals
+        # gamma_{y,z,x}
+        terms = 0
+        for x, y in random_products(33, 400):
+            for w, c in t_multiply(x, y).items():
+                z = inverse(w)
+                assert t_multiply(y, z).get(inverse(x), 0) == c, (x, y, z)
+                terms += 1
+        assert terms > 1000
+
+    def test_one_distinguished_involution(self):
+        # t_{x^-1} t_x holds exactly one distinguished involution d, the one
+        # of the left cell of x, with coefficient gamma_{x^-1,x,d} = 1
+        for x, _ in random_products(34, 400):
+            prod = t_multiply(inverse(x), x)
+            q = phi(x).q
+            d = psi(q, q, (0,) * len(q.rows))
+            assert [w for w in prod if is_distinguished(w)] == [d], x
+            assert prod[d] == 1, x
 
 
 class TestUpsilon:

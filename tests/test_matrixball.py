@@ -201,7 +201,10 @@ class TestForwardStep:
     def test_position_twice_names_input(self, monkeypatch):
         # two one-ball zigzags over one position emit two stream balls there
         monkeypatch.setattr(matrixball, "_forward_zigzags", lambda win, n: [[(1, 1)], [(3, 1)]])
-        msg = r"position 1 produced twice: n=2, ball=\(3, 1\), window so far=\(1, None\)"
+        msg = (
+            r"position 1 produced twice: n=2, window=\(1, 2\), "
+            r"ball=\(3, 1\), output so far=\(1, None\)"
+        )
         with pytest.raises(InvariantError, match=msg):
             forward_step(PartialPerm(2, (1, 2)))
 
@@ -370,6 +373,16 @@ class TestBackwardStep:
             q = (x - 1) // n
             normalized.add((x - q * n, y - q * n))
         assert produced == normalized
+
+    def test_position_twice_names_input(self, monkeypatch):
+        # the second zigzag's corner-post lands on the first one's position
+        monkeypatch.setattr(matrixball, "_zigzags", lambda xs, vs, lab, n, d, first: [[], [(3, 5)]])
+        msg = (
+            r"position 1 produced twice: n=2, window=\(None, None\), "
+            r"stream=\(\(1, 1\), \(2, 2\)\), ball=\(3, 2\), output so far=\(1, None\)"
+        )
+        with pytest.raises(InvariantError, match=msg):
+            _bk_win((None, None), 2, ((1, 1), (2, 2)))
 
 
 class TestPsi:

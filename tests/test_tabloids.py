@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambc.affine import partitions
+from ambc.cells import star_right, star_tabloid
+from ambc.matrixball import phi, psi
 from ambc.tabloids import (
     Tabloid,
     _lch_pair,
@@ -24,7 +26,6 @@ from ambc.tabloids import (
     parse_shape,
     parse_tabloid,
     rev_lambda,
-    star_tabloid,
     tau,
 )
 
@@ -214,6 +215,13 @@ class TestStarTabloid:
     def test_small_n_undefined(self):
         assert star_tabloid(Tabloid(2, ((1,), (2,))), 1) is None
 
+    def test_neighbour_rows_do_not_decide(self):
+        # in both, residues i-1, i, i+2 lie in the longer top row and i+1 in
+        # the bottom row of a two-row shape, yet T* is defined only in the
+        # first: no rule on the rows of i-1..i+2 and their lengths decides it
+        assert star_tabloid(Tabloid(5, ((1, 2, 4), (3, 5))), 2).rows == ((1, 3, 4), (2, 5))
+        assert star_tabloid(Tabloid(5, ((1, 2, 3, 4), (5,))), 4) is None
+
     def test_involution_where_defined(self):
         for n in (3, 4, 5):
             for lam in partitions(n):
@@ -242,9 +250,6 @@ class TestStarTabloid:
     def test_matches_cell_level_ground_truth(self):
         # exhaustive n=4: the tabloid move must be exactly the swap every
         # admissible window move in the cell induces
-        from ambc.cells import star_right
-        from ambc.matrixball import phi, psi
-
         for lam in partitions(4):
             tabs = list(enumerate_tabloids(lam))
             for t in tabs:
