@@ -23,8 +23,6 @@ from typing import Iterable, Optional, Sequence
 
 Ball = tuple[int, int]
 
-HOLE = None
-
 
 class InvariantError(RuntimeError):
     """An internal postcondition failed; the computation state is corrupt."""
@@ -86,9 +84,6 @@ class PartialPerm:
     def balls(self) -> tuple[Ball, ...]:
         """One ball (i, w(i)) per defined window position."""
         return tuple((i, self.window[i - 1]) for i in self.domain())
-
-    def size(self) -> int:
-        return len(self.domain())
 
     def is_total(self) -> bool:
         return all(v is not None for v in self.window)
@@ -173,11 +168,6 @@ def descents_right(w: AffinePerm) -> frozenset[int]:
 def descents(w: AffinePerm) -> tuple[frozenset[int], frozenset[int]]:
     """The pair (left, right) of descent sets; left descents are those of the inverse."""
     return descents_right(inverse(w)), descents_right(w)
-
-
-def is_finite_perm(w: AffinePerm) -> bool:
-    """True iff the window permutes 1..n (w lies in the finite symmetric group)."""
-    return all(1 <= v <= w.n for v in w.window)
 
 
 def is_nonextended(w: AffinePerm) -> bool:

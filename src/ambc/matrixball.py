@@ -35,7 +35,6 @@ which balls are visited.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -90,12 +89,6 @@ class Stream:
     def altitude(self) -> int:
         return sum(_ceil_div(y, self.n) - 1 for _, y in self.pairs)
 
-    def as_partial(self) -> PartialPerm:
-        win: list[Optional[int]] = [None] * self.n
-        for x, y in self.pairs:
-            win[x - 1] = y
-        return PartialPerm(self.n, tuple(win))
-
 
 def _stream_pairs_for(domain: tuple, codomain: tuple, altitude: int, n: int):
     """Window balls of the stream from sorted residue tuples."""
@@ -129,79 +122,89 @@ def make_stream(domain: Sequence[int], codomain: Sequence[int], altitude: int, n
 # --- channels ----------------------------------------------------------------
 
 
+def _balls(win: Win) -> tuple[list, list]:
+    """Positions and values of the balls of ``win``, in window order."""
+    xs: list[int] = []
+    vs: list[int] = []
+    for i, v in enumerate(win):
+        if v is not None:
+            xs.append(i + 1)
+            vs.append(v)
+    return xs, vs
+
+
+def _chain_runs(vs: list, n: int) -> list:
+    """The chain table of the balls with values ``vs`` (in window order): per
+    anchor ball a, the balls b a substream starting at a may use, namely a
+    itself and the later balls with values in (vs[a], vs[a] + n), each as
+    (b, vs[b], run) in window order, where run is the length of the longest
+    increasing run of those balls starting at b.  The anchor comes first, and
+    its run is the longest such substream."""
+    table = []
+    for a, low in enumerate(vs):
+        cap = low + n
+        nodes: list[tuple[int, int, int]] = []  # built from the last ball back
+        for b in range(len(vs) - 1, a - 1, -1):
+            v = vs[b]
+            if low <= v < cap:  # window values are distinct: v == low only at b == a
+                nodes.append((b, v, 1 + max((r for _, u, r in nodes if u > v), default=0)))
+        nodes.reverse()
+        table.append(nodes)
+    return table
+
+
 def _max_density(win: Win, n: int) -> int:
     """Maximum density of a substream: the longest increasing run of window
-    balls whose total rise stays below n.  Per anchor, a patience-sorting
-    longest increasing subsequence over the later balls with values in
-    (w_a, w_a + n)."""
-    vals = [v for v in win if v is not None]
-    best = 0
-    for a, low in enumerate(vals):
-        cap = low + n
-        tails: list[int] = []  # tails[k]: least last value of a run of k + 1
-        for v in vals[a + 1 :]:
-            if low < v < cap:
-                k = bisect_left(tails, v)
-                if k == len(tails):
-                    tails.append(v)
-                else:
-                    tails[k] = v
-        if len(tails) >= best:
-            best = len(tails) + 1
-    return best
-
-
-def _anchored_chains(win: Win, n: int, anchor: int, target: int):
-    """All maximal chains of the given length whose window part starts at
-    ``anchor``; chain condition: positions and values increase, and the last
-    value stays below win[anchor-1] + n."""
-    cap = win[anchor - 1] + n
-    dom = [i + 1 for i, v in enumerate(win) if v is not None]
-    succs: dict[int, list[int]] = {}
-    nodes = [b for b in dom if b == anchor or (b > anchor and win[anchor - 1] < win[b - 1] < cap)]
-    for b in nodes:
-        succs[b] = [c for c in nodes if c > b and win[c - 1] > win[b - 1]]
-    # longest chain from each node, for pruning
-    longest: dict[int, int] = {}
-    for b in reversed(nodes):
-        longest[b] = 1 + max((longest[c] for c in succs[b]), default=0)
-    if longest.get(anchor, 0) != target:
-        return
-    stack = [(anchor, (anchor,))]
-    while stack:
-        b, chain = stack.pop()
-        if len(chain) == target:
-            yield chain
-            continue
-        for c in succs[b]:
-            if longest[c] == target - len(chain):
-                stack.append((c, chain + (c,)))
+    balls whose total rise stays below n."""
+    _, vs = _balls(win)
+    return max((nodes[0][2] for nodes in _chain_runs(vs, n)), default=0)
 
 
 def _all_channels(win: Win, n: int) -> list[tuple[int, ...]]:
     """All maximum-density substreams, each as its tuple of window positions."""
-    if all(v is None for v in win):
+    xs, vs = _balls(win)
+    if not xs:
         raise ValueError("empty permutation has no channels")
-    d = _max_density(win, n)
+    table = _chain_runs(vs, n)
+    d = max(nodes[0][2] for nodes in table)
     out = []
-    for anchor in (i + 1 for i, v in enumerate(win) if v is not None):
-        for chain in _anchored_chains(win, n, anchor, d):
-            out.append(chain)
-            if len(out) > _CHANNEL_ENUM_CAP:
-                raise InvariantError(
-                    f"channel enumeration exceeded {_CHANNEL_ENUM_CAP} channels: n={n}, "
-                    f"window={tuple(win)}"
-                )
+    for a, nodes in enumerate(table):
+        if nodes[0][2] != d:
+            continue
+        # (next node to try, last value taken, positions taken)
+        stack = [(1, vs[a], (xs[a],))]
+        while stack:
+            i, last, chain = stack.pop()
+            if len(chain) == d:
+                out.append(chain)
+                if len(out) > _CHANNEL_ENUM_CAP:
+                    raise InvariantError(
+                        f"channel enumeration exceeded {_CHANNEL_ENUM_CAP} channels: n={n}, "
+                        f"window={tuple(win)}"
+                    )
+                continue
+            need = d - len(chain)
+            for j in range(i, len(nodes)):
+                b, v, run = nodes[j]
+                if run == need and v > last:
+                    stack.append((j + 1, v, chain + (xs[b],)))
     return out
 
 
 def _dominates_from_ne(win: Win, n: int, c_positions, other) -> bool:
-    # every ball of c has a ball of other weakly to its northeast
+    """Whether every ball of the chain c has a translate of a ball of the
+    chain ``other`` weakly to its northeast.  Both chains must list ascending
+    window positions (their values then ascend and rise by less than n), so
+    the translates of ``other`` form one chain in the plane: of those in rows
+    at or above x, the last has the greatest value.  It is the ball of
+    ``other`` at the largest position <= x, or the last ball shifted by -n
+    when there is none, so one merge walk decides."""
+    j, m = 0, len(other)
     for x in c_positions:
-        wx = win[x - 1]
-        if not any(
-            _ceil_div(wx - win[c - 1], n) <= (x - c) // n for c in other
-        ):
+        while j < m and other[j] <= x:
+            j += 1
+        top = win[other[j - 1] - 1] if j else win[other[-1] - 1] - n
+        if top < win[x - 1]:
             return False
     return True
 
@@ -241,17 +244,6 @@ class Numbering:
         if r + 1 not in table:
             raise ValueError(f"no ball over position {r + 1}")
         return table[r + 1] + q * self.step
-
-
-def _balls(win: Win) -> tuple[list, list]:
-    """Positions and values of the balls of ``win``, in window order."""
-    xs: list[int] = []
-    vs: list[int] = []
-    for i, v in enumerate(win):
-        if v is not None:
-            xs.append(i + 1)
-            vs.append(v)
-    return xs, vs
 
 
 def _seed(xs: list, vs: list, sources, n: int, first: int) -> list:

@@ -1,14 +1,17 @@
 """Source hygiene: every imported name in the library and the tests is read,
-every private module-level name of the library is read somewhere, the
-library imports only at module level (so its import graph is the one its
-headers show), and it checks its invariants without ``assert`` (which
-``python -O`` strips)."""
+every module-level name of the library is read somewhere (a public one may
+instead be exported by the package), the library imports only at module level
+(so its import graph is the one its headers show), and it checks its
+invariants without ``assert`` (which ``python -O`` strips)."""
 import ast
 from pathlib import Path
+
+import ambc
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "ambc").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 SOURCES = sorted([p for p in LIBRARY if p.name != "__init__.py"] + TESTS)
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -107,9 +110,8 @@ def test_no_asserts_in_library():
     assert not found, found
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, name) of every module-level function, class or assignment whose
-    name starts with one underscore and is not a dunder."""
+def module_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every module-level function, class or assignment."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -117,7 +119,19 @@ def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found.extend((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Module-level definitions whose name starts with one underscore and is
+    not a dunder."""
+    found = module_definitions(tree)
     return [(line, name) for line, name in found if name[:1] == "_" and name[:2] != "__"]
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Module-level definitions whose name does not start with an underscore."""
+    return [(line, name) for line, name in module_definitions(tree) if name[:1] != "_"]
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -151,6 +165,30 @@ def test_no_dead_private_names():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in LIBRARY
         for line, name in private_definitions(trees[path])
+        if name not in read
+    ]
+    assert not found, found
+
+
+def test_scanner_finds_dead_public_names():
+    tree = ast.parse(
+        "A = 1\nB: int = 2\n_C = A\n"
+        "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\n"
+        "def h():\n    pass\n"
+    )
+    read = names_read(tree) | names_read(ast.parse("import m\nm.h()\nfrom m import K\n"))
+    dead = [(line, name) for line, name in public_definitions(tree) if name not in read | {"B"}]
+    assert dead == [(4, "f")]
+
+
+def test_no_dead_public_names():
+    # bench/ is only read: a name its harness uses is not dead
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY + TESTS + BENCH}
+    read = set().union(*map(names_read, trees.values())) | set(ambc.__all__)
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in LIBRARY
+        for line, name in public_definitions(trees[path])
         if name not in read
     ]
     assert not found, found

@@ -20,6 +20,7 @@ from ambc.matrixball import (
     _bk_labels,
     _bk_win,
     _channel_labels,
+    _dominates_from_ne,
     _psi_rows,
     backward_numbering,
     backward_step,
@@ -36,6 +37,7 @@ from ambc.matrixball import (
     southwest_channel,
 )
 from ambc import matrixball
+from ambc.oracles import _random_affine_perm
 from ambc.tabloids import (
     Tabloid,
     canonical_tabloid,
@@ -117,6 +119,36 @@ class TestChannels:
             w = _random_affine_perm(rng, rng.randint(1, 8))
             assert southwest_channel(w).density() == phi(w).shape()[0]
 
+    def test_dominance_walk_against_translates(self):
+        def by_translates(win, n, c, other):
+            # some translate k of a ball o of other lies weakly northeast of
+            # ball x: ceil((w_x - w_o) / n) <= k <= floor((x - o) / n)
+            return all(
+                any(-((win[o - 1] - win[x - 1]) // n) <= (x - o) // n for o in other) for x in c
+            )
+
+        wins = [
+            (n, tuple(v + n * k for v, k in zip(perm, shifts)))
+            for n in range(1, 5)
+            for perm in itertools.permutations(range(1, n + 1))
+            for shifts in itertools.product((-1, 0, 1), repeat=n)
+        ]
+        rng = random.Random(53)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            win = _random_affine_perm(rng, n, rng.choice((1, 2, 3))).window
+            win = tuple(v if rng.random() < 0.7 else None for v in win)
+            if any(v is not None for v in win):
+                wins.append((n, win))
+        pairs = 0
+        for n, win in wins:
+            chans = [s.domain() for s in channels(PartialPerm(n, win))]
+            for c in chans:
+                for other in chans:
+                    expected = by_translates(win, n, c, other)
+                    assert _dominates_from_ne(win, n, c, other) == expected, (n, win, c, other)
+                    pairs += 1
+        assert pairs > 5000
 
     def test_enumeration_cap_names_input(self, monkeypatch):
         # [2,1,4,3] has 2 * 2 = 4 channels, past a cap of 1

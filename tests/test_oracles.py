@@ -34,6 +34,18 @@ from ambc.tabloids import anticanonical_tabloid
 from conftest import dominant_diffs
 
 
+def partial_windows():
+    """(window, n) of seeded partial windows with n <= 8: random holes punched
+    into random affine windows, empty ones skipped."""
+    rng = random.Random(47)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        win = _random_affine_perm(rng, n, rng.choice((1, 2, 3))).window
+        win = tuple(v if rng.random() < 0.7 else None for v in win)
+        if any(v is not None for v in win):
+            yield win, n
+
+
 class TestBruteChannels:
     def test_identity(self):
         assert len(brute_channels(identity(5))) == 1
@@ -49,6 +61,10 @@ class TestBruteChannels:
             n = rng.randint(1, 8)
             w = _random_affine_perm(rng, n)
             assert brute_channels(w) == channels(w)
+        # every forward step after the first sees a window with holes
+        for win, n in partial_windows():
+            w = PartialPerm(n, win)
+            assert brute_channels(w) == channels(w), (win, n)
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -121,14 +137,7 @@ class TestChannelLabelsRoundRobin:
 
 class TestMaxDensity:
     def test_against_brute_channels(self):
-        # partial windows: random holes punched into random affine windows
-        rng = random.Random(47)
-        for _ in range(400):
-            n = rng.randint(1, 8)
-            win = _random_affine_perm(rng, n, rng.choice((1, 2, 3))).window
-            win = tuple(v if rng.random() < 0.7 else None for v in win)
-            if all(v is None for v in win):
-                continue
+        for win, n in partial_windows():
             density = brute_channels(PartialPerm(n, win))[0].density()
             assert _max_density(win, n) == density, (win, n)
 
