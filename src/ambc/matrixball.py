@@ -29,8 +29,11 @@ label, from below for a channel and from above for a stream.  The channel
 numbering is the least solution at or above its seed, the backward numbering
 the greatest solution at or below its seed.  Turning the balls by 180
 degrees (negating positions, values and labels) maps the one fixpoint onto
-the other, so one relaxation computes both.  Neither depends on the order in
-which balls are visited.
+the other, so one relaxation computes both.  It visits the balls in sweep
+order, descending (turned) x: a bound from a ball strictly southeast takes
+effect in the same round, so the rounds count the wrap-arounds of a longest
+path through the translates.  The order only saves rounds; neither numbering
+depends on the order in which balls are visited.
 """
 from __future__ import annotations
 
@@ -139,15 +142,30 @@ def _chain_runs(vs: list, n: int) -> list:
     itself and the later balls with values in (vs[a], vs[a] + n), each as
     (b, vs[b], run) in window order, where run is the length of the longest
     increasing run of those balls starting at b.  The anchor comes first, and
-    its run is the longest such substream."""
+    its run is the longest such substream.
+
+    Each anchor's balls are scanned from the last back, keeping the frontier
+    ``best``: best[L] is the greatest value starting a run of length L + 1
+    among the balls scanned so far, so it decreases in L and a ball's run is
+    1 + the number of leading entries above its value."""
     table = []
     for a, low in enumerate(vs):
         cap = low + n
         nodes: list[tuple[int, int, int]] = []  # built from the last ball back
+        best: list[int] = []
         for b in range(len(vs) - 1, a - 1, -1):
             v = vs[b]
             if low <= v < cap:  # window values are distinct: v == low only at b == a
-                nodes.append((b, v, 1 + max((r for _, u, r in nodes if u > v), default=0)))
+                run = 0
+                for u in best:
+                    if u < v:
+                        break
+                    run += 1
+                if run == len(best):
+                    best.append(v)
+                else:
+                    best[run] = v
+                nodes.append((b, v, run + 1))
         nodes.reverse()
         table.append(nodes)
     return table
@@ -273,18 +291,26 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     of ball t from k = max((x_t - x_u) // n, (v_t - v_u) // n) + 1 on, so the
     bound is lab[t] <= lab[u] + k d - 1: a min-plus relaxation that settles
     within m rounds for m balls unless no such labeling exists.  Returns
-    whether it settled."""
+    whether it settled.
+
+    Each round visits the balls in sweep order, descending x (both callers
+    pass monotone positions, so this is the list or its reverse).  A bound
+    with k = 0 comes from a ball of larger x, already lowered in the same
+    round; only the wrap bounds (k >= 1) wait for the next round, so the
+    rounds count wrap-arounds.  The result does not depend on the order."""
     shifts = []
-    for x, v in zip(xs, vs):
+    for t, (x, v) in enumerate(zip(xs, vs)):
         row = []
         for xu, vu in zip(xs, vs):
             k1 = (x - xu) // n
             k2 = (v - vu) // n
             row.append((k1 if k1 > k2 else k2) * d + d - 1)
-        shifts.append(row)
+        shifts.append((t, row))
+    if xs and xs[0] < xs[-1]:
+        shifts.reverse()
     for _ in range(len(xs) + 2):
         changed = False
-        for t, row in enumerate(shifts):
+        for t, row in shifts:
             low = min(map(add, lab, row))
             if low < lab[t]:
                 lab[t] = low

@@ -68,6 +68,28 @@ def brute_channels(w: PartialPerm) -> tuple[Stream, ...]:
     return tuple(sorted(streams, key=lambda s: s.pairs))
 
 
+def chain_runs_by_scan(vs: Sequence[int], n: int) -> list[list[tuple[int, int, int]]]:
+    """
+    The chain table of the balls with values ``vs`` (in window order), each
+    ball's run found by scanning every later ball of its anchor: per anchor
+    ball a, the balls b with b == a or b > a and vs[b] in (vs[a], vs[a] + n),
+    as (b, vs[b], run) in window order, where run is 1 + the greatest run of a
+    later such ball with a larger value.  ``matrixball._chain_runs`` builds
+    the same table with a per-length frontier.
+    """
+    table = []
+    for a, low in enumerate(vs):
+        cap = low + n
+        nodes: list[tuple[int, int, int]] = []
+        for b in range(len(vs) - 1, a - 1, -1):
+            v = vs[b]
+            if low <= v < cap:
+                nodes.append((b, v, 1 + max((r for _, u, r in nodes if u > v), default=0)))
+        nodes.reverse()
+        table.append(nodes)
+    return table
+
+
 # --- backward numbering by single decrements ------------------------------------
 
 _DECREMENT_CAP = 1_000_000

@@ -7,12 +7,14 @@ from ambc.affine import AffinePerm, PartialPerm, identity, partitions
 from ambc.matrixball import (
     _bk_labels,
     _bk_win,
+    _chain_runs,
     _channel_labels,
     _forward_win,
     _forward_zigzags,
     _max_density,
     _phi_win,
     _seed,
+    _settle,
     _southwest_channel,
     _stream_pairs_for,
     channels,
@@ -23,6 +25,7 @@ from ambc.oracles import (
     brute_channels,
     brute_complete_stream_families,
     brute_schur_product,
+    chain_runs_by_scan,
     channel_labels_round_robin,
     epsilon_from_families,
     self_check,
@@ -44,6 +47,15 @@ def partial_windows():
         win = tuple(v if rng.random() < 0.7 else None for v in win)
         if any(v is not None for v in win):
             yield win, n
+
+
+def small_windows():
+    """(window, n) of every affine window with n <= 4 and shifts in
+    {-1, 0, 1}."""
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for shifts in itertools.product((-1, 0, 1), repeat=n):
+                yield tuple(v + n * s for v, s in zip(perm, shifts)), n
 
 
 class TestBruteChannels:
@@ -93,16 +105,21 @@ class TestSettleByDecrement:
             assert _bk_labels(xs, vs, spairs, n) == expected, (win, xs, vs, spairs)
 
     def test_exhaustive_small(self):
-        for n in range(1, 5):
-            for perm in itertools.permutations(range(1, n + 1)):
-                for shifts in itertools.product((-1, 0, 1), repeat=n):
-                    self.check(tuple(v + n * s for v, s in zip(perm, shifts)), n)
+        for win, n in small_windows():
+            self.check(win, n)
 
     def test_seeded(self):
         rng = random.Random(45)
         for _ in range(120):
             n = rng.randint(5, 32)
             self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
+
+    def test_seeded_large(self):
+        # at these sizes the sweep order of _settle saves rounds
+        rng = random.Random(48)
+        for n in (48, 64):
+            for spread in (1, 2, 4, 8):
+                self.check(_random_affine_perm(rng, n, spread).window, n)
 
 
 def forward_windows(win, n):
@@ -123,16 +140,79 @@ class TestChannelLabelsRoundRobin:
             assert dict(zip(xs, lab)) == expected, (win, cur, channel)
 
     def test_exhaustive_small(self):
-        for n in range(1, 5):
-            for perm in itertools.permutations(range(1, n + 1)):
-                for shifts in itertools.product((-1, 0, 1), repeat=n):
-                    self.check(tuple(v + n * s for v, s in zip(perm, shifts)), n)
+        for win, n in small_windows():
+            self.check(win, n)
 
     def test_seeded(self):
         rng = random.Random(46)
         for n in (5, 8, 12, 16, 24, 32, 48, 64):
             for _ in range(3):
                 self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
+
+
+class TestSettleOrder:
+    """_settle visits the balls in sweep order to save rounds; on any order of
+    the balls it reaches the same labels."""
+
+    @staticmethod
+    def shuffled_settle(xs, vs, lab, n, d, rng):
+        order = list(range(len(xs)))
+        rng.shuffle(order)
+        lab_p = [lab[t] for t in order]
+        assert _settle([xs[t] for t in order], [vs[t] for t in order], lab_p, n, d)
+        out = [None] * len(xs)
+        for t, label in zip(order, lab_p):
+            out[t] = label
+        return out
+
+    def check(self, win, n, rng):
+        for xs, vs, spairs in backward_steps(win, n):
+            lab = self.shuffled_settle(xs, vs, _seed(xs, vs, spairs, n, 1), n, len(spairs), rng)
+            assert lab == _bk_labels(xs, vs, spairs, n), (win, xs, vs, spairs)
+        for cur in forward_windows(win, n):
+            channel = _southwest_channel(cur, n)
+            xs, vs, expected = _channel_labels(cur, n, channel)
+            sources = [(x, cur[x - 1]) for x in sorted(channel)]
+            seed = [-label for label in _seed(xs, vs, sources, n, 2)]
+            turned = [-x for x in xs], [-v for v in vs]
+            lab = self.shuffled_settle(*turned, seed, n, len(channel), rng)
+            assert [-label for label in lab] == expected, (win, cur, channel)
+
+    def test_exhaustive_small(self):
+        rng = random.Random(49)
+        for win, n in small_windows():
+            self.check(win, n, rng)
+
+    def test_seeded(self):
+        rng = random.Random(50)
+        for _ in range(40):
+            n = rng.randint(5, 16)
+            self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n, rng)
+
+
+class TestChainRuns:
+    """_chain_runs against the quadratic scan.  The table reads only the ball
+    values, so the value sequences of every n <= 5 below stand for every
+    window with holes and shifts in {-1, 0, 1}."""
+
+    def test_exhaustive_small(self):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                for perm in itertools.permutations(range(1, n + 1), k):
+                    for shifts in itertools.product((-1, 0, 1), repeat=k):
+                        vs = [v + n * s for v, s in zip(perm, shifts)]
+                        assert _chain_runs(vs, n) == chain_runs_by_scan(vs, n), (vs, n)
+
+    def test_seeded(self):
+        rng = random.Random(51)
+        wins = list(partial_windows())
+        for _ in range(400):
+            n = rng.randint(9, 16)
+            win = _random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window
+            wins.append((tuple(v if rng.random() < 0.7 else None for v in win), n))
+        for win, n in wins:
+            vs = [v for v in win if v is not None]
+            assert _chain_runs(vs, n) == chain_runs_by_scan(vs, n), (win, n)
 
 
 class TestMaxDensity:
