@@ -33,6 +33,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
+
+
 def residue(i: int, n: int) -> int:
     """The residue of i in 1..n."""
     return (i - 1) % n + 1
@@ -204,7 +208,8 @@ def longest_parabolic(lam: Sequence[int], n: int) -> AffinePerm:
 def check_partition(lam: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
     """Validate a partition (weakly decreasing positive parts), optionally of n."""
     lam = tuple(lam)
-    if not lam or any(p < 1 for p in lam) or any(a < b for a, b in zip(lam, lam[1:])):
+    bad = not lam or any(not _is_int(p) or p < 1 for p in lam)
+    if bad or any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError(f"not a partition: {lam}")
     if n is not None and sum(lam) != n:
         raise ValueError(f"partition {lam} does not sum to {n}")

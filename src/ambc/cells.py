@@ -116,11 +116,12 @@ def star_left(w: AffinePerm, i: int) -> Optional[AffinePerm]:
 
 def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
     """
-    The tabloid side of the Knuth move at residue i: the swap of residues i
-    and i+1 (cyclically), defined exactly when every Knuth-admissible window
-    swap at positions (i, i+1) inside the left cell labeled by t lands in the
-    left cell labeled by the swapped tabloid.  Returns None when undefined
-    (in particular whenever i and i+1 share a row, or n < 3).
+    The tabloid side of the Knuth move at residue i: the swap s of residues
+    i and i+1 (cyclically), defined exactly when every Knuth-admissible
+    window swap at positions (i, i+1) inside the left cell labeled by t lands
+    in the left cell labeled by s, and every one inside the cell of s lands
+    back in the cell of t.  Returns None when undefined (in particular
+    whenever i and i+1 share a row, or n < 3).
 
     Decided by probing the cell along the diagonal: the words psi(t, t, rho)
     over small dominant altitude vectors realize every admissibility pattern;

@@ -43,7 +43,7 @@ from functools import lru_cache
 from operator import add
 from typing import Optional, Sequence
 
-from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div
+from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div, _is_int
 from .tabloids import Rows, Tabloid, is_dominant_wrt, tabloid_from_lists
 
 Win = tuple  # window tuple with int or None entries
@@ -178,9 +178,8 @@ def _max_density(win: Win, n: int) -> int:
     return max((nodes[0][2] for nodes in _chain_runs(vs, n)), default=0)
 
 
-def _all_channels(win: Win, n: int) -> list[tuple[int, ...]]:
-    """All maximum-density substreams, each as its tuple of window positions."""
-    xs, vs = _balls(win)
+def _all_channels(xs: list, vs: list, n: int) -> list[tuple[int, ...]]:
+    """All maximum-density substreams, each as its ascending ball indices."""
     if not xs:
         raise ValueError("empty permutation has no channels")
     table = _chain_runs(vs, n)
@@ -189,8 +188,8 @@ def _all_channels(win: Win, n: int) -> list[tuple[int, ...]]:
     for a, nodes in enumerate(table):
         if nodes[0][2] != d:
             continue
-        # (next node to try, last value taken, positions taken)
-        stack = [(1, vs[a], (xs[a],))]
+        # (next node to try, last value taken, indices taken)
+        stack = [(1, vs[a], (a,))]
         while stack:
             i, last, chain = stack.pop()
             if len(chain) == d:
@@ -198,44 +197,45 @@ def _all_channels(win: Win, n: int) -> list[tuple[int, ...]]:
                 if len(out) > _CHANNEL_ENUM_CAP:
                     raise InvariantError(
                         f"channel enumeration exceeded {_CHANNEL_ENUM_CAP} channels: n={n}, "
-                        f"window={tuple(win)}"
+                        f"balls={list(zip(xs, vs))}"
                     )
                 continue
             need = d - len(chain)
             for j in range(i, len(nodes)):
                 b, v, run = nodes[j]
                 if run == need and v > last:
-                    stack.append((j + 1, v, chain + (xs[b],)))
+                    stack.append((j + 1, v, chain + (b,)))
     return out
 
 
-def _dominates_from_ne(win: Win, n: int, c_positions, other) -> bool:
+def _dominates_from_ne(vs: list, n: int, c, other) -> bool:
     """Whether every ball of the chain c has a translate of a ball of the
-    chain ``other`` weakly to its northeast.  Both chains must list ascending
-    window positions (their values then ascend and rise by less than n), so
-    the translates of ``other`` form one chain in the plane: of those in rows
-    at or above x, the last has the greatest value.  It is the ball of
-    ``other`` at the largest position <= x, or the last ball shifted by -n
-    when there is none, so one merge walk decides."""
+    chain ``other`` weakly to its northeast.  Both chains are ascending ball
+    indices (their values then ascend and rise by less than n), so the
+    translates of ``other`` form one chain in the plane: of those in rows at
+    or above ball t, the last has the greatest value.  It is the ball of
+    ``other`` at the largest index <= t, or the last ball shifted by -n when
+    there is none, so one merge walk decides."""
     j, m = 0, len(other)
-    for x in c_positions:
-        while j < m and other[j] <= x:
+    for t in c:
+        while j < m and other[j] <= t:
             j += 1
-        top = win[other[j - 1] - 1] if j else win[other[-1] - 1] - n
-        if top < win[x - 1]:
+        top = vs[other[j - 1]] if j else vs[other[-1]] - n
+        if top < vs[t]:
             return False
     return True
 
 
-def _southwest_channel(win: Win, n: int) -> tuple[int, ...]:
-    chans = _all_channels(win, n)
+def _southwest_channel(xs: list, vs: list, n: int) -> tuple[int, ...]:
+    """Ball indices of the channel all others dominate from the northeast."""
+    chans = _all_channels(xs, vs, n)
     if len(chans) == 1:
         return chans[0]
-    sw = [c for c in chans if all(_dominates_from_ne(win, n, c, o) for o in chans if o != c)]
+    sw = [c for c in chans if all(_dominates_from_ne(vs, n, c, o) for o in chans if o != c)]
     if len(sw) != 1:
         raise InvariantError(
-            f"expected a unique southwest channel, found {len(sw)}: n={n}, window={tuple(win)}, "
-            f"channels={sw}"
+            f"expected a unique southwest channel, found {len(sw)}: n={n}, "
+            f"balls={list(zip(xs, vs))}, channels={[tuple(xs[t] for t in c) for c in sw]}"
         )
     return sw[0]
 
@@ -320,30 +320,27 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     return False
 
 
-def _channel_labels(win: Win, n: int, channel: tuple[int, ...]) -> tuple[list, list, list]:
-    """Positions, values and labels of the balls of ``win``, numbered by
-    longest paths out of the channel's proper numbering (the channel ball
-    with the smallest window x is anchored at 1): the least labeling at or
-    above the seed that satisfies the longest-path bounds, computed by
-    ``_settle`` on the balls turned by 180 degrees.  It exists unless the
-    channel is not of maximum density."""
-    xs, vs = _balls(win)
-    chan = sorted(channel)
-    lab = [-label for label in _seed(xs, vs, [(x, win[x - 1]) for x in chan], n, 2)]
+def _channel_labels(xs: list, vs: list, chan: tuple[int, ...], n: int) -> list:
+    """Labels of the balls (xs[t], vs[t]), numbered by longest paths out of
+    the proper numbering of the channel with ascending ball indices ``chan``
+    (its first ball is anchored at 1): the least labeling at or above the
+    seed that satisfies the longest-path bounds, computed by ``_settle`` on
+    the balls turned by 180 degrees.  It exists unless the channel is not of
+    maximum density."""
+    lab = [-label for label in _seed(xs, vs, [(xs[t], vs[t]) for t in chan], n, 2)]
     if not _settle([-x for x in xs], [-v for v in vs], lab, n, len(chan)):
         raise InvariantError(
-            f"channel numbering failed to stabilize: n={n}, window={tuple(win)}, "
-            f"channel={tuple(channel)}"
+            f"channel numbering failed to stabilize: n={n}, balls={list(zip(xs, vs))}, "
+            f"channel={tuple(xs[t] for t in chan)}"
         )
     lab = [-label for label in lab]
-    base = {x: j for j, x in enumerate(chan, start=1)}
-    for x, label in zip(xs, lab):
-        if x in base and label != base[x]:
+    for j, t in enumerate(chan, start=1):
+        if lab[t] != j:
             raise InvariantError(
-                f"channel numbering moved a channel ball: n={n}, window={tuple(win)}, "
-                f"channel={tuple(channel)}, ball {x} labelled {label} against {base[x]}"
+                f"channel numbering moved a channel ball: n={n}, balls={list(zip(xs, vs))}, "
+                f"channel={tuple(xs[t] for t in chan)}, ball {xs[t]} labelled {lab[t]} against {j}"
             )
-    return xs, vs, lab
+    return lab
 
 
 def channel_numbering(w: PartialPerm, channel: Stream) -> Numbering:
@@ -353,22 +350,22 @@ def channel_numbering(w: PartialPerm, channel: Stream) -> Numbering:
         raise ValueError("the given stream is not a substream of w")
     if channel.density() != _max_density(w.window, w.n):
         raise ValueError("the given stream is not a channel (density not maximal)")
-    xs, _, lab = _channel_labels(w.window, w.n, chan)
+    xs, vs = _balls(w.window)
+    lab = _channel_labels(xs, vs, tuple(xs.index(x) for x in chan), w.n)
     return Numbering(w.n, channel.density(), tuple(zip(xs, lab)))
 
 
 def channels(w: PartialPerm) -> tuple[Stream, ...]:
     """All maximum-density substreams of w."""
-    out = []
-    for chain in _all_channels(w.window, w.n):
-        out.append(Stream(w.n, tuple((x, w.window[x - 1]) for x in sorted(chain))))
+    xs, vs = _balls(w.window)
+    out = [Stream(w.n, tuple((xs[t], vs[t]) for t in c)) for c in _all_channels(xs, vs, w.n)]
     return tuple(sorted(out, key=lambda s: s.pairs))
 
 
 def southwest_channel(w: PartialPerm) -> Stream:
     """The unique channel all other channels dominate from the northeast."""
-    chain = _southwest_channel(w.window, w.n)
-    return Stream(w.n, tuple((x, w.window[x - 1]) for x in sorted(chain)))
+    xs, vs = _balls(w.window)
+    return Stream(w.n, tuple((xs[t], vs[t]) for t in _southwest_channel(xs, vs, w.n)))
 
 
 # --- forward step -------------------------------------------------------------
@@ -376,16 +373,13 @@ def southwest_channel(w: PartialPerm) -> Stream:
 
 def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
     """Group labelled balls into one zigzag per label class first..first+d-1:
-    the translates of the balls carrying that label, sorted by x descending
-    (values then ascend).  A class without balls gives an empty list."""
-    m = len(xs)
-    out = []
-    for target in range(first, first + d):
-        balls = []
-        for t in range(m):
-            k, rem = divmod(target - lab[t], d)
-            if not rem:
-                balls.append((xs[t] + k * n, vs[t] + k * n))
+    a ball labelled first + k d + r joins class r translated by -k(n, n), and
+    each class, possibly empty, is sorted by x descending (values then ascend)."""
+    out: list[list] = [[] for _ in range(d)]
+    for x, v, label in zip(xs, vs, lab):
+        k, r = divmod(label - first, d)
+        out[r].append((x - k * n, v - k * n))
+    for balls in out:
         balls.sort(reverse=True)
         for t in range(len(balls) - 1):
             if balls[t][1] >= balls[t + 1][1]:
@@ -393,16 +387,16 @@ def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
                     f"zigzag balls out of order: {balls}; n={n}, d={d}, "
                     f"balls={list(zip(xs, vs))}, labels={lab}"
                 )
-        out.append(balls)
     return out
 
 
 def _forward_zigzags(win: Win, n: int):
     """Zigzags of the forward step: a list of ball lists, one per nonempty
     label class, each sorted by x descending (values then ascend)."""
-    channel = _southwest_channel(win, n)
-    xs, vs, lab = _channel_labels(win, n, channel)
-    return [balls for balls in _zigzags(xs, vs, lab, n, len(channel), 0) if balls]
+    xs, vs = _balls(win)
+    chan = _southwest_channel(xs, vs, n)
+    lab = _channel_labels(xs, vs, chan, n)
+    return [balls for balls in _zigzags(xs, vs, lab, n, len(chan), 0) if balls]
 
 
 def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
@@ -640,7 +634,7 @@ def parse_triple(text: str, n: Optional[int] = None) -> DomTriple:
         raise ValueError(f"bad triple text: {e}") from None
     if not isinstance(data, dict) or set(data) != {"p", "q", "rho"}:
         raise ValueError('triple must be an object with keys "p", "q", "rho"')
-    if not isinstance(data["rho"], list) or not all(isinstance(x, int) for x in data["rho"]):
+    if not isinstance(data["rho"], list) or not all(_is_int(x) for x in data["rho"]):
         raise ValueError('"rho" must be a list of integers')
     return DomTriple(
         tabloid_from_lists(data["p"], n), tabloid_from_lists(data["q"], n), tuple(data["rho"])

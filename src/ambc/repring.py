@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .affine import InvariantError, check_partition
+from .affine import InvariantError, _is_int, check_partition
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -30,7 +30,7 @@ def check_gl_weight(mu: Sequence[int], m: Optional[int] = None) -> GLWeight:
     mu = tuple(mu)
     if not mu:
         raise ValueError("empty weight")
-    if any(not isinstance(x, int) for x in mu):
+    if not all(_is_int(x) for x in mu):
         raise ValueError(f"weight entries must be integers: {mu}")
     if any(a < b for a, b in zip(mu, mu[1:])):
         raise ValueError(f"weight is not weakly decreasing: {mu}")

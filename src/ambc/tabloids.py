@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .affine import check_partition, conjugate_partition, residue
+from .affine import _is_int, check_partition, conjugate_partition, residue
 
 RowVector = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -299,7 +299,7 @@ def parse_tabloid(text: str, n: Optional[int] = None) -> Tabloid:
 
 def tabloid_from_lists(data, n: Optional[int] = None) -> Tabloid:
     if not isinstance(data, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in data
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in data
     ):
         raise ValueError(f"tabloid must be a list of integer rows: {data!r}")
     size = sum(len(row) for row in data)

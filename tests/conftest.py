@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ambc.affine import partitions
+from ambc.matrixball import psi
 from ambc.tabloids import Tabloid, enumerate_tabloids, equal_part_runs, offset_constants
 
 
@@ -30,7 +31,6 @@ def dominant_diffs(lam, lo=-2, hi=2):
 
 def random_cell_element(rng: random.Random, lam, tabs=None, p=None, q=None, spread=2):
     """A random element with prescribed cell data, via the backward map."""
-    from ambc.matrixball import psi
 
     tabs = tabs if tabs is not None else list(enumerate_tabloids(lam))
     p = p if p is not None else rng.choice(tabs)

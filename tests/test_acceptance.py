@@ -25,7 +25,7 @@ from ambc.affine import (
     partitions,
     shift,
 )
-from ambc.cells import is_distinguished, star_right, star_tabloid
+from ambc.cells import is_distinguished, star_right, star_tabloid, xi_epsilon
 from ambc.jring import j_multiply, pgl_member, t_basis, t_multiply, unit
 from ambc.lusztig_vogan import (
     LVPair,
@@ -38,12 +38,14 @@ from ambc.lusztig_vogan import (
 )
 from ambc.matrixball import forward_step, phi, psi, psi_cache_clear
 from ambc.oracles import brute_schur_product, epsilon_from_families, _random_affine_perm
-from ambc.repring import dim_gl, tensor_gl
+from ambc.repring import dim_gl, fweight_from_rows, tensor_gl
 from ambc.tabloids import (
     Tabloid,
+    anticanonical_tabloid,
     count_tabloids,
     enumerate_tabloids,
     offset_constants,
+    omega_tabloid,
     rev_lambda,
 )
 
@@ -102,7 +104,6 @@ def test_criterion_3_shift_and_star_transport(golden9):
         # printed shift example
         w = parse_window("[-1,3,10,-5,14,-3,18,7,2]")
         t = phi(compose(shift(9), w))
-        from ambc.tabloids import omega_tabloid
 
         assert compose(shift(9), w) == parse_window("[0,4,11,-4,15,-2,19,8,3]")
         assert t.p == omega_tabloid(golden9["p"])
@@ -207,7 +208,6 @@ def test_criterion_7_lusztig_vogan():
         # both printed worked examples
         pair = theta1((5, 1, 1, 1, -2, -2, -2))
         assert pair.shape == (3, 3, 1) and pair.weight.flatten() == (1, -2, 3)
-        from ambc.repring import fweight_from_rows
 
         lam = (2, 2, 1, 1, 1)
         assert theta1_inverse(lam, fweight_from_rows(lam, (0, 0, 1, 0, -1))) == (
@@ -238,9 +238,6 @@ def test_criterion_7_lusztig_vogan():
 
 def test_criterion_8_diagonal_cell_weights():
     with criterion(8, "diagonal-cell weights vs stream families, n <= 8", 180.0):
-        from ambc.cells import xi_epsilon
-        from ambc.tabloids import anticanonical_tabloid
-
         total = 0
         for n in range(2, 9):
             for lam in partitions(n):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,8 +173,6 @@ class TestDoubleCosets:
         assert min_double_coset_rep(w) == w
 
     def test_idempotent_and_coset_constant(self):
-        import random
-
         rng = random.Random(4)
         for _ in range(40):
             n = rng.randint(1, 5)

@@ -28,11 +28,13 @@ from ambc.cells import (
     xi_epsilon,
 )
 from ambc.matrixball import phi, psi
+from ambc.oracles import epsilon_from_families
 from ambc.tabloids import (
     anticanonical_tabloid,
     canonical_tabloid,
     count_tabloids,
     enumerate_tabloids,
+    rev_lambda,
 )
 
 from conftest import dominant_diffs, random_cell_element
@@ -204,9 +206,6 @@ class TestXiEpsilon:
             xi_epsilon(AffinePerm(9, golden9["w"]))
 
     def test_matches_stream_families(self):
-        from ambc.oracles import epsilon_from_families
-        from ambc.tabloids import rev_lambda
-
         rng = random.Random(13)
         for n in (3, 4, 5, 6):
             for lam in partitions(n):

@@ -1,8 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ambc.cli import _build_parser, main
+from ambc.lusztig_vogan import parse_lv_pair
 from ambc.oracles import self_check
+from ambc.repring import parse_fweight
 
 
 def run(capsys, *argv):
@@ -42,6 +46,19 @@ class TestForwardBackward:
     def test_backward_n_mismatch(self, capsys):
         code, _, err = run(capsys, "ambc-backward", TRIPLE9, "--n", "8")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            '{"p":[[true]],"q":[[true]],"rho":[false]}',
+            '{"p":[[1]],"q":[[1]],"rho":[false]}',
+            '{"p":[[true]],"q":[[1]],"rho":[0]}',
+        ],
+    )
+    def test_backward_rejects_booleans(self, capsys, triple):
+        # JSON true and false are Python bools, a subclass of int
+        code, out, err = run(capsys, "ambc-backward", triple)
+        assert code == 2 and out == "" and "input error" in err
 
     def test_json_stable(self, capsys):
         code, out, _ = run(capsys, "ambc-forward", "[3,7,14,2,18,4,19,8,6]")
@@ -143,6 +160,23 @@ class TestLV:
             capsys, "lv-inverse", "--shape", "2,2,1,1,1", "--weight", "[[0,1],[0,0,0]]"
         )
         assert code == 2
+
+    def test_boolean_weight_rejected(self, capsys):
+        code, out, _ = run(capsys, "lv-inverse", "--shape", "1", "--weight", "[[true]]")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_fweight, '{"shape":[true],"blocks":[[0]]}'),
+            (parse_fweight, '{"shape":[1],"blocks":[[true]]}'),
+            (parse_lv_pair, '{"shape":[true],"weight_blocks":[[0]]}'),
+            (parse_lv_pair, '{"shape":[1],"weight_blocks":[[false]]}'),
+        ],
+    )
+    def test_boolean_json_rejected(self, parse, text):
+        with pytest.raises(ValueError):
+            parse(text)
 
 
 class TestTensor:

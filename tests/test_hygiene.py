@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in the library and the tests is read,
 every module-level name of the library is read somewhere (a public one may
-instead be exported by the package), the library imports only at module level
-(so its import graph is the one its headers show), and it checks its
-invariants without ``assert`` (which ``python -O`` strips)."""
+instead be exported by the package), the library and the tests import only at
+module level (so their import graphs are the ones their headers show), and the
+library checks its invariants without ``assert`` (which ``python -O``
+strips)."""
 import ast
 from pathlib import Path
 
@@ -81,10 +82,10 @@ def test_scanner_finds_nested_imports():
 
 
 def test_no_imports_inside_library_functions():
-    assert LIBRARY
+    assert LIBRARY and TESTS
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in LIBRARY
+        for path in LIBRARY + TESTS
         for line, name in nested_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, found

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from ambc.affine import (
     compose,
     identity,
     inverse,
+    is_nonextended,
     parse_window,
     partitions,
     shift,
 )
-from ambc.cells import is_distinguished
+from ambc.cells import is_distinguished, star_right
 from ambc.jring import (
     format_jelement,
     j_multiply,
@@ -25,8 +27,9 @@ from ambc.jring import (
     upsilon,
 )
 from ambc.matrixball import phi, psi
-from ambc.repring import fweight_from_rows
-from ambc.tabloids import count_tabloids, enumerate_tabloids, offset_constants
+from ambc.oracles import _random_affine_perm
+from ambc.repring import fweight_from_rows, tensor_f
+from ambc.tabloids import count_tabloids, enumerate_tabloids, equal_part_runs, offset_constants
 
 from conftest import random_cell_element
 
@@ -176,7 +179,6 @@ class TestStructure:
 
     def test_star_transport(self):
         # multiplying by a starred right factor stars every summand
-        from ambc.cells import star_right
 
         rng = random.Random(28)
         done = 0
@@ -207,8 +209,6 @@ class TestStructure:
                     done += 1
 
     def test_determinantal_single_term(self):
-        from ambc.tabloids import equal_part_runs
-
         rng = random.Random(29)
         for n in (3, 4, 5):
             for lam in partitions(n):
@@ -289,8 +289,6 @@ class TestUpsilon:
         assert p == q == t and weight.flatten() == (0, 0, 0)
 
     def test_multiplicative(self):
-        from ambc.repring import tensor_f
-
         rng = random.Random(30)
         for _ in range(12):
             n = rng.randint(3, 5)
@@ -335,8 +333,6 @@ class TestQuotients:
         assert pgl_member(parse_window(W9))
         assert not pgl_member(shift(9))
         rng = random.Random(32)
-        from ambc.affine import is_nonextended
-        from ambc.oracles import _random_affine_perm
 
         for _ in range(50):
             w = _random_affine_perm(rng, rng.randint(1, 7))
@@ -357,8 +353,6 @@ class TestTextFormats:
         assert parse_jelement(format_jelement(a)) == a
 
     def test_json_form(self):
-        import json
-
         prod = t_multiply(parse_window(W9), parse_window(W9P))
         data = json.loads(jelement_to_json(prod))
         assert len(data) == 4 and all(d["coef"] == 1 for d in data)

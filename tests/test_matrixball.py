@@ -9,14 +9,18 @@ from ambc.affine import (
     AffinePerm,
     InvariantError,
     PartialPerm,
+    descents,
     format_window,
     inverse,
+    is_nonextended,
     parse_window,
     partitions,
 )
 from ambc.matrixball import (
     DomTriple,
     Stream,
+    _all_channels,
+    _balls,
     _bk_labels,
     _bk_win,
     _channel_labels,
@@ -36,7 +40,7 @@ from ambc.matrixball import (
     psi_triple,
     southwest_channel,
 )
-from ambc import matrixball
+from ambc import matrixball, psi_cache_info
 from ambc.oracles import _random_affine_perm
 from ambc.tabloids import (
     Tabloid,
@@ -44,9 +48,10 @@ from ambc.tabloids import (
     enumerate_tabloids,
     offset_constants,
     rev_lambda,
+    tau,
 )
 
-from conftest import dominant_diffs
+from conftest import dominant_diffs, random_cell_element
 
 
 class TestStreams:
@@ -112,19 +117,17 @@ class TestChannels:
             channels(PartialPerm(3, (None, None, None)))
 
     def test_density_equals_first_part(self):
-        from ambc.oracles import _random_affine_perm
-
         rng = random.Random(14)
         for _ in range(40):
             w = _random_affine_perm(rng, rng.randint(1, 8))
             assert southwest_channel(w).density() == phi(w).shape()[0]
 
     def test_dominance_walk_against_translates(self):
-        def by_translates(win, n, c, other):
+        def by_translates(xs, vs, n, c, other):
             # some translate k of a ball o of other lies weakly northeast of
-            # ball x: ceil((w_x - w_o) / n) <= k <= floor((x - o) / n)
+            # ball t: ceil((v_t - v_o) / n) <= k <= floor((x_t - x_o) / n)
             return all(
-                any(-((win[o - 1] - win[x - 1]) // n) <= (x - o) // n for o in other) for x in c
+                any(-((vs[o] - vs[t]) // n) <= (xs[t] - xs[o]) // n for o in other) for t in c
             )
 
         wins = [
@@ -142,18 +145,19 @@ class TestChannels:
                 wins.append((n, win))
         pairs = 0
         for n, win in wins:
-            chans = [s.domain() for s in channels(PartialPerm(n, win))]
+            xs, vs = _balls(win)
+            chans = _all_channels(xs, vs, n)
             for c in chans:
                 for other in chans:
-                    expected = by_translates(win, n, c, other)
-                    assert _dominates_from_ne(win, n, c, other) == expected, (n, win, c, other)
+                    expected = by_translates(xs, vs, n, c, other)
+                    assert _dominates_from_ne(vs, n, c, other) == expected, (n, win, c, other)
                     pairs += 1
         assert pairs > 5000
 
     def test_enumeration_cap_names_input(self, monkeypatch):
         # [2,1,4,3] has 2 * 2 = 4 channels, past a cap of 1
         monkeypatch.setattr(matrixball, "_CHANNEL_ENUM_CAP", 1)
-        msg = r"exceeded 1 channels: n=4, window=\(2, 1, 4, 3\)"
+        msg = r"exceeded 1 channels: n=4, balls=\[\(1, 2\), \(2, 1\), \(3, 4\), \(4, 3\)\]$"
         with pytest.raises(InvariantError, match=msg):
             phi(AffinePerm(4, (2, 1, 4, 3)))
 
@@ -184,21 +188,24 @@ class TestChannelNumbering:
     def test_unsettled_names_input(self):
         # a density-1 "channel" beside a chain of two balls: the longest-path
         # bounds have a positive cycle, so the labels never settle
-        msg = r"failed to stabilize: n=2, window=\(1, 2\), channel=\(1,\)"
+        msg = r"failed to stabilize: n=2, balls=\[\(1, 1\), \(2, 2\)\], channel=\(1,\)$"
         with pytest.raises(InvariantError, match=msg):
-            _channel_labels((1, 2), 2, (1,))
+            _channel_labels([1, 2], [1, 2], (0,), 2)
 
     def test_moved_channel_ball_names_input(self):
         # the balls over 2 and 3 are no chain: a path from a translate of
         # ball 3 through ball 1 lifts ball 2 above its channel label
-        msg = r"moved a channel ball: n=3, window=\(1, 2, 0\), channel=\(2, 3\)"
+        msg = (
+            r"moved a channel ball: n=3, balls=\[\(1, 1\), \(2, 2\), \(3, 0\)\], "
+            r"channel=\(2, 3\), ball 2 labelled 2 against 1$"
+        )
         with pytest.raises(InvariantError, match=msg):
-            _channel_labels((1, 2, 0), 3, (2, 3))
+            _channel_labels([1, 2, 3], [1, 2, 0], (1, 2), 3)
 
     def test_ambiguous_southwest_names_input(self, monkeypatch):
         # two copies of one channel: neither is the unique southwest one
-        monkeypatch.setattr(matrixball, "_all_channels", lambda win, n: [(1,), (1,)])
-        msg = r"found 2: n=2, window=\(2, 1\), channels=\[\(1,\), \(1,\)\]"
+        monkeypatch.setattr(matrixball, "_all_channels", lambda xs, vs, n: [(0,), (0,)])
+        msg = r"found 2: n=2, balls=\[\(1, 2\), \(2, 1\)\], channels=\[\(1,\), \(1,\)\]$"
         with pytest.raises(InvariantError, match=msg):
             southwest_channel(AffinePerm(2, (2, 1)))
 
@@ -242,8 +249,7 @@ class TestForwardStep:
 
     def test_zigzag_order_names_input(self, monkeypatch):
         # one label on a chain of two balls: the zigzag's values descend
-        labelled = ([1, 2], [1, 2], [1, 1])
-        monkeypatch.setattr(matrixball, "_channel_labels", lambda win, n, channel: labelled)
+        monkeypatch.setattr(matrixball, "_channel_labels", lambda xs, vs, chan, n: [1, 1])
         msg = r"n=2, d=2, balls=\[\(1, 1\), \(2, 2\)\], labels=\[1, 1\]"
         with pytest.raises(InvariantError, match=msg):
             forward_step(PartialPerm(2, (1, 2)))
@@ -276,9 +282,6 @@ class TestPhi:
         assert (t.p, t.q, t.rho) == (golden9["p"], golden9["q"], (0, -1, 1))
 
     def test_descent_law(self, golden9):
-        from ambc.affine import descents
-        from ambc.tabloids import tau
-
         w = AffinePerm(9, golden9["w"])
         left, right = descents(w)
         assert left == tau(golden9["p"]) and right == tau(golden9["q"])
@@ -439,8 +442,6 @@ class TestPsi:
         assert format_window(PartialPerm(15, win)) == "[-21,-20,-8,-7,5,6,32,33,34,46,_,_,_,_,_]"
 
     def test_prefix_memo(self, golden9):
-        from ambc import psi_cache_info
-
         psi_cache_clear()
         for _ in range(2):
             psi(golden9["p"], golden9["q"], golden9["rho"])
@@ -480,7 +481,6 @@ class TestRoundTrips:
 
     def test_sampled_larger(self):
         rng = random.Random(0)
-        from ambc.oracles import _random_affine_perm
 
         for _ in range(120):
             n = rng.randint(1, 9)
@@ -489,7 +489,6 @@ class TestRoundTrips:
 
     def test_inverse_law(self):
         rng = random.Random(8)
-        from conftest import random_cell_element
 
         for _ in range(60):
             n = rng.randint(2, 6)
@@ -504,9 +503,6 @@ class TestRoundTrips:
             assert (ti.p, ti.q, ti.rho) == (q, p, expected)
 
     def test_nonextended_iff_zero_altitude_sum(self):
-        from ambc.affine import is_nonextended
-        from ambc.oracles import _random_affine_perm
-
         rng = random.Random(5)
         for _ in range(80):
             w = _random_affine_perm(rng, rng.randint(1, 8))

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from ambc.affine import AffinePerm, PartialPerm, identity, partitions
+from ambc.affine import AffinePerm, PartialPerm, conjugate_partition, identity, partitions
 from ambc.matrixball import (
+    _balls,
     _bk_labels,
     _bk_win,
     _chain_runs,
@@ -17,6 +18,7 @@ from ambc.matrixball import (
     _settle,
     _southwest_channel,
     _stream_pairs_for,
+    _zigzags,
     channels,
     psi,
 )
@@ -32,6 +34,7 @@ from ambc.oracles import (
     settle_by_decrement,
     _random_affine_perm,
 )
+from ambc.repring import tensor_gl
 from ambc.tabloids import anticanonical_tabloid
 
 from conftest import dominant_diffs
@@ -134,10 +137,11 @@ class TestChannelLabelsRoundRobin:
     @staticmethod
     def check(win, n):
         for cur in forward_windows(win, n):
-            channel = _southwest_channel(cur, n)
-            xs, _, lab = _channel_labels(cur, n, channel)
-            expected = channel_labels_round_robin(cur, n, channel)
-            assert dict(zip(xs, lab)) == expected, (win, cur, channel)
+            xs, vs = _balls(cur)
+            chan = _southwest_channel(xs, vs, n)
+            lab = _channel_labels(xs, vs, chan, n)
+            expected = channel_labels_round_robin(cur, n, [xs[t] for t in chan])
+            assert dict(zip(xs, lab)) == expected, (win, cur, chan)
 
     def test_exhaustive_small(self):
         for win, n in small_windows():
@@ -170,13 +174,14 @@ class TestSettleOrder:
             lab = self.shuffled_settle(xs, vs, _seed(xs, vs, spairs, n, 1), n, len(spairs), rng)
             assert lab == _bk_labels(xs, vs, spairs, n), (win, xs, vs, spairs)
         for cur in forward_windows(win, n):
-            channel = _southwest_channel(cur, n)
-            xs, vs, expected = _channel_labels(cur, n, channel)
-            sources = [(x, cur[x - 1]) for x in sorted(channel)]
+            xs, vs = _balls(cur)
+            chan = _southwest_channel(xs, vs, n)
+            sources = [(xs[t], vs[t]) for t in chan]
             seed = [-label for label in _seed(xs, vs, sources, n, 2)]
             turned = [-x for x in xs], [-v for v in vs]
-            lab = self.shuffled_settle(*turned, seed, n, len(channel), rng)
-            assert [-label for label in lab] == expected, (win, cur, channel)
+            lab = self.shuffled_settle(*turned, seed, n, len(chan), rng)
+            expected = _channel_labels(xs, vs, chan, n)
+            assert [-label for label in lab] == expected, (win, cur, chan)
 
     def test_exhaustive_small(self):
         rng = random.Random(49)
@@ -188,6 +193,32 @@ class TestSettleOrder:
         for _ in range(40):
             n = rng.randint(5, 16)
             self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n, rng)
+
+
+class TestZigzagOrder:
+    """_zigzags groups the balls into label classes in one pass and sorts each
+    class, so the order in which the balls come does not matter."""
+
+    @staticmethod
+    def labelled_steps(win, n):
+        """(xs, vs, labels, d, first) of every forward and backward step of
+        phi(w) and psi(phi(w))."""
+        for cur in forward_windows(win, n):
+            xs, vs = _balls(cur)
+            chan = _southwest_channel(xs, vs, n)
+            yield xs, vs, _channel_labels(xs, vs, chan, n), len(chan), 0
+        for xs, vs, spairs in backward_steps(win, n):
+            yield xs, vs, _bk_labels(xs, vs, spairs, n), len(spairs), 1
+
+    def test_permuted_balls(self):
+        rng = random.Random(52)
+        for win, n in small_windows():
+            for xs, vs, lab, d, first in self.labelled_steps(win, n):
+                order = list(range(len(xs)))
+                rng.shuffle(order)
+                permuted = ([seq[t] for t in order] for seq in (xs, vs, lab))
+                got = _zigzags(*permuted, n, d, first)
+                assert got == _zigzags(xs, vs, lab, n, d, first), (win, xs, vs, lab)
 
 
 class TestChainRuns:
@@ -256,7 +287,6 @@ class TestForwardStepBookkeeping:
     def interval_index(x, lam, n):
         """Index of the interval of the column-length partition of the line
         containing x: (shift, which-interval)."""
-        from ambc.affine import conjugate_partition
 
         conj = conjugate_partition(lam)
         a, r = divmod(x - 1, n)
@@ -298,13 +328,9 @@ class TestBruteSchur:
         assert brute_schur_product((2, 1, -1), (0, 0, 0), 3) == {(2, 1, -1): 1}
 
     def test_worked_example(self):
-        from ambc.repring import tensor_gl
-
         assert brute_schur_product((2, 1, 0), (2, 0, 0), 3) == tensor_gl((2, 1, 0), (2, 0, 0))
 
     def test_differential(self):
-        from ambc.repring import tensor_gl
-
         rng = random.Random(44)
         for _ in range(50):
             m = rng.randint(1, 3)

@@ -19,6 +19,7 @@ from ambc.repring import (
     tensor_gl,
     zero_fweight,
 )
+from ambc.tabloids import delta_vec, enumerate_tabloids, equal_part_runs
 
 
 def random_weight(rng, m, lo=-3, hi=3):
@@ -193,7 +194,6 @@ class TestTensorF:
         shapes = [(2, 2, 1), (3, 1, 1), (2, 2, 2, 1), (4, 4, 2)]
         for _ in range(25):
             lam = rng.choice(shapes)
-            from ambc.tabloids import equal_part_runs
 
             def rand_fw():
                 blocks = []
@@ -217,8 +217,6 @@ class TestDeterminantal:
         assert not is_determinantal((2, 2, 1), (3, 2, 7))
 
     def test_delta_vectors_are_determinantal(self):
-        from ambc.tabloids import delta_vec, enumerate_tabloids
-
         for lam in [(2, 2, 1), (3, 1, 1), (2, 2, 2)]:
             for t in enumerate_tabloids(lam):
                 n = sum(lam)

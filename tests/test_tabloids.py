@@ -32,6 +32,15 @@ from ambc.tabloids import (
 from conftest import dominant_diffs
 
 
+def swap_residues(t, i):
+    """t with residues i and i + 1 (cyclically) exchanged."""
+    j = i % t.n + 1
+    return Tabloid(
+        t.n,
+        tuple(tuple(sorted(j if x == i else i if x == j else x for x in row)) for row in t.rows),
+    )
+
+
 class TestTabloidBasics:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -239,19 +248,16 @@ class TestStarTabloid:
                         s = star_tabloid(t, i)
                         if s is None:
                             continue
-                        j = i % n + 1
-                        assert t.row_of(i) != t.row_of(j)
-                        swapped = tuple(
-                            tuple(sorted(j if x == i else i if x == j else x for x in row))
-                            for row in t.rows
-                        )
-                        assert s.rows == swapped
+                        assert t.row_of(i) != t.row_of(i % n + 1)
+                        assert s == swap_residues(t, i)
 
     def test_matches_cell_level_ground_truth(self):
-        # exhaustive n=4: the tabloid move must be exactly the swap every
-        # admissible window move in the cell induces
+        # exhaustive n=4, both directions: T*(t, i) is the swap s exactly when
+        # every admissible window move at i in the cell of t lands in the cell
+        # of s and every one in the cell of s lands back in the cell of t
         for lam in partitions(4):
             tabs = list(enumerate_tabloids(lam))
+            images = {}
             for t in tabs:
                 cell = []
                 for p in tabs:
@@ -259,14 +265,13 @@ class TestStarTabloid:
                     for diff in dominant_diffs(lam):
                         cell.append(psi(p, t, tuple(d + c for d, c in zip(diff, s))))
                 for i in range(1, 5):
-                    images = set()
-                    for w in cell:
-                        ws = star_right(w, i)
-                        if ws is not None:
-                            images.add(phi(ws).q)
-                    got = star_tabloid(t, i)
-                    if got is not None:
-                        assert images == {got}
+                    moved = (star_right(w, i) for w in cell)
+                    images[t, i] = {phi(ws).q for ws in moved if ws is not None}
+            for t in tabs:
+                for i in range(1, 5):
+                    swap = swap_residues(t, i)
+                    two_sided = images[t, i] == {swap} and images[swap, i] == {t}
+                    assert star_tabloid(t, i) == (swap if two_sided else None), (t.rows, i)
 
 
 class TestDeltaIota:
