@@ -17,7 +17,7 @@ from .jring import format_jelement, jelement_to_json, t_multiply
 from .lusztig_vogan import format_lv_pair, theta1, theta1_inverse
 from .matrixball import format_triple, parse_triple, phi, psi_triple
 from .oracles import self_check
-from .repring import FWeight, format_gl_weight, parse_gl_weight, tensor_gl
+from .repring import format_gl_weight, fweight_from_json, parse_gl_weight, tensor_gl
 from .tabloids import format_shape, parse_shape
 
 
@@ -122,11 +122,7 @@ def _cmd_lv(args) -> int:
 def _cmd_lv_inverse(args) -> int:
     lam = parse_shape(args.shape)
     _check_n(args.n, sum(lam))
-    try:
-        blocks = json.loads(args.weight)
-        weight = FWeight(lam, tuple(tuple(b) for b in blocks))
-    except (json.JSONDecodeError, TypeError) as e:
-        raise ValueError(f"bad --weight: {e}") from None
+    weight = fweight_from_json(list(lam), json.loads(args.weight))
     print(format_gl_weight(theta1_inverse(lam, weight)))
     return 0
 

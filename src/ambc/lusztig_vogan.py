@@ -30,7 +30,7 @@ from .affine import (
     window_diagonals,
 )
 from .cells import upsilon, upsilon_inverse
-from .repring import FWeight, check_gl_weight, zero_fweight
+from .repring import FWeight, check_gl_weight, fweight_from_json, zero_fweight
 from .tabloids import canonical_tabloid, equal_part_runs
 
 
@@ -182,5 +182,5 @@ def parse_lv_pair(text: str) -> LVPair:
         raise ValueError(f"bad pair text: {e}") from None
     if not isinstance(data, dict) or set(data) != {"shape", "weight_blocks"}:
         raise ValueError('pair must be an object with keys "shape" and "weight_blocks"')
-    shape = tuple(data["shape"])
-    return LVPair(shape, FWeight(shape, tuple(tuple(b) for b in data["weight_blocks"])))
+    weight = fweight_from_json(data["shape"], data["weight_blocks"])
+    return LVPair(weight.shape, weight)

@@ -19,6 +19,12 @@ backward step inverts this against a prescribed compatible stream.  Iterating
 gives the forward map ``phi`` (permutation to dominant triple) and the
 backward map ``psi`` (triple to permutation).
 
+Positions stay with the balls; values move along the zigzag.  Every
+corner-post a step makes shares its row with one ball of its zigzag, so the
+step writes it at that ball's window position.  The forward step hands one
+position per zigzag to its stream ball; the backward step fills one position
+per stream ball, the only writes that can collide.
+
 Anchoring conventions (the results below are anchor-independent, but the
 intermediate numberings are not): a channel or stream ball with the smallest
 window x gets label 1.  Both numberings solve one constraint system, the
@@ -373,12 +379,13 @@ def southwest_channel(w: PartialPerm) -> Stream:
 
 def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
     """Group labelled balls into one zigzag per label class first..first+d-1:
-    a ball labelled first + k d + r joins class r translated by -k(n, n), and
-    each class, possibly empty, is sorted by x descending (values then ascend)."""
+    a ball labelled first + k d + r joins class r translated by -k(n, n), as
+    (x - k n, v - k n, x) with its window position x last.  Each class,
+    possibly empty, is sorted by x descending (values then ascend)."""
     out: list[list] = [[] for _ in range(d)]
     for x, v, label in zip(xs, vs, lab):
         k, r = divmod(label - first, d)
-        out[r].append((x - k * n, v - k * n))
+        out[r].append((x - k * n, v - k * n, x))
     for balls in out:
         balls.sort(reverse=True)
         for t in range(len(balls) - 1):
@@ -390,37 +397,35 @@ def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
     return out
 
 
-def _forward_zigzags(win: Win, n: int):
-    """Zigzags of the forward step: a list of ball lists, one per nonempty
-    label class, each sorted by x descending (values then ascend)."""
+def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
+    """One forward step: a zigzag of balls (x_i, y_i, p_i), x descending,
+    leaves the outer posts (x_i, y_{i+1}) at the positions p_i and the stream
+    ball (x_r, y_0) at p_r, for its last ball r."""
     xs, vs = _balls(win)
     chan = _southwest_channel(xs, vs, n)
     lab = _channel_labels(xs, vs, chan, n)
-    return [balls for balls in _zigzags(xs, vs, lab, n, len(chan), 0) if balls]
+    out = list(win)
+    spairs = []
+    for balls in _zigzags(xs, vs, lab, n, len(chan), 0):  # each holds a channel ball
+        for (x, _, p), (_, y, _) in zip(balls, balls[1:]):
+            out[p - 1] = y + p - x
+        x, _, p = balls[-1]
+        out[p - 1] = None
+        spairs.append((p, balls[0][1] + p - x))
+    spairs.sort()
+    return tuple(out), tuple(spairs)
 
 
-def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
-    # each zigzag leaves its outer corner-posts and one stream ball
-    out: list = [None] * n
-    stream: list = [None] * n
-    for balls in _forward_zigzags(win, n):
-        for t in range(len(balls) - 1):
-            _place(out, n, balls[t][0], balls[t + 1][1], win)
-        _place(stream, n, balls[-1][0], balls[0][1], win)
-    return tuple(out), tuple((x, y) for x, y in enumerate(stream, start=1) if y is not None)
-
-
-def _place(out: list, n: int, x: int, y: int, win: Win, spairs=None) -> None:
-    """Put the ball (x, y) into the window ``out`` as its translate over 1..n;
-    ``win`` and ``spairs`` are the step's input window and stream, named if
-    the position is already taken."""
+def _place(out: list, n: int, x: int, y: int, win: Win, spairs) -> None:
+    """Put the stream ball (x, y) into the window ``out`` as its translate
+    over 1..n; ``win`` and ``spairs`` are the step's input window and stream,
+    named if the position is already taken."""
     q = (x - 1) // n
     r = x - q * n - 1
     if out[r] is not None:
-        stream = "" if spairs is None else f", stream={tuple(spairs)}"
         raise InvariantError(
-            f"window position {r + 1} produced twice: n={n}, window={win}{stream}, "
-            f"ball={(x, y)}, output so far={tuple(out)}"
+            f"window position {r + 1} produced twice: n={n}, window={win}, "
+            f"stream={tuple(spairs)}, ball={(x, y)}, output so far={tuple(out)}"
         )
     out[r] = y - q * n
 
@@ -534,16 +539,17 @@ def _check_compatible(w: PartialPerm, s: Stream) -> None:
 
 
 def _bk_win(win: Win, n: int, spairs) -> Win:
+    """One backward step: stream ball (sx, sy) and its zigzag of balls
+    (x_i, y_i, p_i), x descending, give the inner posts (x_1, sy), (x_2, y_1),
+    ... at the positions p_i, and (sx, y_r), placed as a stream ball."""
     xs, vs = _balls(win)
     lab = _bk_labels(xs, vs, spairs, n)
-    # inner corner-posts of the zigzag behind stream ball (sx, sy) with balls
-    # (x1, y1), ..., (xr, yr): (x1, sy), (x2, y1), ..., (sx, yr)
-    out: list = [None] * n
+    out = list(win)
     for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs), 1)):
         y = sy
-        for bx, by in balls:
-            _place(out, n, bx, y, win, spairs)
-            y = by
+        for x, v, p in balls:
+            out[p - 1] = y + p - x
+            y = v
         _place(out, n, sx, y, win, spairs)
     return tuple(out)
 
@@ -571,7 +577,8 @@ def psi_cache_info():
 @lru_cache(maxsize=4096)
 def _psi_suffix(items: tuple, n: int) -> Win:
     """Backward steps over ``items``, a bottom-up tuple of (q_row, p_row,
-    altitude) row data; recent prefixes are shared across calls."""
+    altitude) row data; recent prefixes are shared across calls.  Callers
+    walk the prefixes in order, so the inner lookup hits and never recurses."""
     if not items:
         return (None,) * n
     q_row, p_row, alt = items[-1]
@@ -588,7 +595,10 @@ def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:
         (tuple(q_row), tuple(p_row), alt)
         for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(tuple(rho)))
     )
-    return _psi_suffix(items, n)
+    win = (None,) * n
+    for r in range(1, len(items) + 1):
+        win = _psi_suffix(items[:r], n)
+    return win
 
 
 def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:

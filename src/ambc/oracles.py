@@ -420,6 +420,8 @@ def self_check(seed: int = 20240601, samples: int = 60) -> list[OracleReport]:
     stream-family altitudes, and tensor products against raw polynomial
     arithmetic.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0: {samples}")
     rng = random.Random(seed)
     reports: list[OracleReport] = []
 

@@ -251,4 +251,13 @@ def parse_fweight(text: str) -> FWeight:
         raise ValueError(f"bad weight text: {e}") from None
     if not isinstance(data, dict) or set(data) != {"shape", "blocks"}:
         raise ValueError('weight must be an object with keys "shape" and "blocks"')
-    return FWeight(tuple(data["shape"]), tuple(tuple(b) for b in data["blocks"]))
+    return fweight_from_json(data["shape"], data["blocks"])
+
+
+def fweight_from_json(shape, blocks) -> FWeight:
+    """The FWeight of a decoded JSON ``shape`` (a list of parts) and
+    ``blocks`` (a list of lists); any other form is a ValueError."""
+    if not (isinstance(shape, list) and isinstance(blocks, list)
+            and all(isinstance(b, list) for b in blocks)):
+        raise ValueError(f"shape and weight blocks must be JSON lists: {shape!r}, {blocks!r}")
+    return FWeight(tuple(shape), tuple(tuple(b) for b in blocks))

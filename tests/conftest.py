@@ -1,11 +1,20 @@
+import contextlib
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import settings
 
 from ambc.affine import partitions
 from ambc.matrixball import psi
 from ambc.tabloids import Tabloid, enumerate_tabloids, equal_part_runs, offset_constants
+
+# Every @given test draws the same examples on every run and writes no
+# example database, so tier-1 stays deterministic and leaves no files.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 # The worked nine-residue example used as a golden fixture throughout.
@@ -44,3 +53,20 @@ def random_cell_element(rng: random.Random, lam, tabs=None, p=None, q=None, spre
 
 def small_partitions(max_n):
     return [(n, lam) for n in range(1, max_n + 1) for lam in partitions(n)]
+
+
+@contextlib.contextmanager
+def stack_headroom(frames):
+    """Lower the recursion limit to ``frames`` above the caller's depth."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def one_column_triple(k):
+    """A triple of shape (1^k): k one-ball rows, so psi takes k backward steps."""
+    t = Tabloid(k, tuple((i,) for i in range(1, k + 1)))
+    return t, t, (0,) * k

@@ -1,12 +1,21 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambc.affine import parse_window, partitions
 from ambc.cli import _build_parser, main
 from ambc.lusztig_vogan import parse_lv_pair
 from ambc.oracles import self_check
-from ambc.repring import parse_fweight
+from ambc.matrixball import DomTriple, format_triple, parse_triple, phi, psi_cache_clear
+from ambc.repring import fweight_from_rows, parse_fweight, parse_gl_weight
+from ambc.tabloids import equal_part_runs, parse_shape
+
+from conftest import one_column_triple, stack_headroom
 
 
 def run(capsys, *argv):
@@ -59,6 +68,15 @@ class TestForwardBackward:
         # JSON true and false are Python bools, a subclass of int
         code, out, err = run(capsys, "ambc-backward", triple)
         assert code == 2 and out == "" and "input error" in err
+
+    def test_backward_many_rows(self, capsys):
+        # 80 rows, 40 frames of headroom: a frame per row would overflow
+        triple = format_triple(DomTriple(*one_column_triple(80)))
+        psi_cache_clear()
+        with stack_headroom(40):
+            code, out, err = run(capsys, "ambc-backward", triple)
+        assert code == 0 and err == ""
+        assert run(capsys, "ambc-forward", out.strip())[1].strip() == triple
 
     def test_json_stable(self, capsys):
         code, out, _ = run(capsys, "ambc-forward", "[3,7,14,2,18,4,19,8,6]")
@@ -178,6 +196,23 @@ class TestLV:
         with pytest.raises(ValueError):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_fweight, '{"shape":[1],"blocks":[0]}'),
+            (parse_fweight, '{"shape":1,"blocks":[[0]]}'),
+            (parse_lv_pair, '{"shape":[1],"weight_blocks":[0]}'),
+        ],
+    )
+    def test_non_list_json_rejected(self, parse, text):
+        with pytest.raises(ValueError):
+            parse(text)
+
+    @pytest.mark.parametrize("weight", ["[0]", "0", "[[0]", ""])
+    def test_malformed_weight_rejected(self, capsys, weight):
+        code, out, err = run(capsys, "lv-inverse", "--shape", "1", "--weight", weight)
+        assert code == 2 and out == "" and "input error" in err
+
 
 class TestTensor:
     def test_worked_example(self, capsys):
@@ -208,6 +243,10 @@ class TestSelfCheck:
         data = json.loads(out)
         assert all(d["passed"] for d in data)
 
+    def test_negative_samples_rejected(self, capsys):
+        code, out, err = run(capsys, "self-check", "--samples=-1")
+        assert code == 2 and out == "" and "input error" in err
+
     def test_readme_count(self):
         # the README shows the summary line of `ambc self-check` at its defaults
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -215,3 +254,163 @@ class TestSelfCheck:
         args = _build_parser().parse_args(["self-check"])
         count = len(self_check(seed=args.seed, samples=args.samples))
         assert shown == [f"{count}/{count} checks passed"]
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+# Huge ints stay out of the arguments where a valid input would be huge work:
+# shapes (a cell of size N has more than N elements), --samples, and one factor
+# of jmult and tensor (a product of two huge weights has a huge number of terms).
+SMALL = st.integers(-3, 6)
+ANY_INT = st.one_of(SMALL, st.sampled_from((2**64, -(2**64), 10**30, -(10**30))))
+SHAPE_INT = st.one_of(st.integers(-1, 1), st.just(-(10**30)))
+SHAPES = [lam for n in range(1, 7) for lam in partitions(n)]
+JSON_KEYS = ("p", "q", "rho", "shape", "blocks", "weight_blocks")
+
+
+def commas(xs):
+    return ",".join(map(str, xs))
+
+
+def texts(ints):
+    """Malformed or odd argument text: free text, comma lists, window lists
+    with holes, and nested JSON, over ints, booleans, floats, null and short
+    strings."""
+    leaf = st.one_of(ints, st.booleans(), st.floats(), st.none(), st.text(max_size=2))
+    items = st.lists(leaf, max_size=6)
+    nested = st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4), st.dictionaries(st.sampled_from(JSON_KEYS), kids, max_size=3)
+        ),
+        max_leaves=10,
+    )
+    return st.one_of(
+        st.text(max_size=8),
+        items.map(commas),
+        items.map(lambda xs: "[" + commas("_" if x is None else x for x in xs) + "]"),
+        nested.map(json.dumps),
+    )
+
+
+def windows(ints, n):
+    """Valid total windows of size n, shifted by ``ints`` periods."""
+    return st.permutations(range(1, n + 1)).flatmap(
+        lambda perm: st.lists(ints, min_size=n, max_size=n).map(
+            lambda ks: "[" + commas(v + n * k for v, k in zip(perm, ks)) + "]"
+        )
+    )
+
+
+def weights(ints, size):
+    return st.lists(ints, min_size=size, max_size=size).map(lambda xs: sorted(xs, reverse=True))
+
+
+@st.composite
+def command_lines(draw):
+    """(format, command, argv) with every argument valid but at most one,
+    which is fuzz text.  Options are written --name=value and positionals
+    follow --, so argument text starting with '-' is never read as an
+    option."""
+    fmt = draw(st.sampled_from(("text", "json")))
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(SHAPES))
+    blocks = st.tuples(*(weights(ANY_INT, b - a) for a, b in equal_part_runs(lam)))
+    bad_n = st.one_of(st.integers(-1, 7), ANY_INT, st.text(max_size=3)).map(str)
+    shape_n = [("shape", st.just(commas(lam)), texts(SHAPE_INT)),
+               ("n", st.sampled_from((None, str(sum(lam)))), bad_n)]
+    # (option name or None for a positional, valid values, fuzz values)
+    spec = {
+        "ambc-forward": [(None, windows(ANY_INT, n), texts(ANY_INT))],
+        "ambc-backward": [
+            (None, windows(ANY_INT, n).map(lambda w: format_triple(phi(parse_window(w)))),
+             texts(ANY_INT)),
+            ("n", st.sampled_from((None, str(n))), bad_n),
+        ],
+        "involutions": shape_n,
+        "jmult": [(None, windows(ANY_INT, n), texts(ANY_INT)),
+                  (None, windows(SMALL, n), texts(SMALL))],
+        "lv": [(None, weights(ANY_INT, n).map(commas), texts(ANY_INT))],
+        "lv-inverse": shape_n + [("weight", blocks.map(json.dumps), texts(ANY_INT))],
+        "tensor": [("m", st.just(str(m)), st.text(max_size=3)),
+                   (None, weights(ANY_INT, m).map(commas), texts(ANY_INT)),
+                   (None, weights(SMALL, m).map(commas), texts(SMALL))],
+        "self-check": [("seed", ANY_INT.map(str), st.text(max_size=3)),
+                       ("samples", st.integers(0, 2).map(str),
+                        st.one_of(st.integers(-2, -1).map(str), st.text(max_size=3)))],
+    }[cmd]
+    bad = draw(st.integers(-1, len(spec) - 1))
+    argv, args = ["--format", fmt, cmd], []
+    for i, (name, valid, fuzz) in enumerate(spec):
+        value = draw(fuzz if i == bad else valid)
+        if name is None:
+            args.append(value)
+        elif value is not None:
+            argv.append(f"--{name}={value}")
+    return fmt, cmd, argv + (["--"] + args if args else [])
+
+
+def reparse_involutions(out):
+    *windows, count = out.splitlines()
+    for w in windows:
+        parse_window(w)
+    assert count == f"count {len(windows)}"
+
+
+def reparse_jmult(out):
+    if out.strip() != "0":
+        for term in out.strip().split(" + "):
+            coef, w = term.split("*")
+            int(coef), parse_window(w)
+
+
+def reparse_lv(out):
+    shape, weight = out.splitlines()
+    lam = parse_shape(shape.removeprefix("shape "))
+    fweight_from_rows(lam, tuple(int(x) for x in weight.removeprefix("weight ").split(",")))
+
+
+def reparse_tensor(out):
+    for line in out.splitlines():
+        coef, w = line.split(" ")
+        int(coef), parse_gl_weight(w)
+
+
+def reparse_self_check(out):
+    assert out.splitlines()[-1].endswith(" checks passed")
+
+
+# How each command's output is read back: its text form, and its JSON form
+# for the commands whose output --format json changes.
+COMMANDS = {
+    "ambc-forward": parse_triple,
+    "ambc-backward": parse_window,
+    "involutions": reparse_involutions,
+    "jmult": reparse_jmult,
+    "lv": reparse_lv,
+    "lv-inverse": parse_gl_weight,
+    "tensor": reparse_tensor,
+    "self-check": reparse_self_check,
+}
+JSON_COMMANDS = {"involutions": json.loads, "jmult": json.loads, "lv": parse_lv_pair,
+                 "tensor": json.loads, "self-check": json.loads}
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_exit_codes_and_reparse(self, line):
+        # every command line exits 0 or 2 without a traceback, and what
+        # exits 0 prints output its own format reads back
+        fmt, cmd, argv = line
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejected the command line
+                code = e.code
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 0:
+            reader = JSON_COMMANDS.get(cmd, COMMANDS[cmd]) if fmt == "json" else COMMANDS[cmd]
+            reader(out.getvalue())

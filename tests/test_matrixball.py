@@ -51,7 +51,7 @@ from ambc.tabloids import (
     tau,
 )
 
-from conftest import dominant_diffs, random_cell_element
+from conftest import dominant_diffs, one_column_triple, random_cell_element, stack_headroom
 
 
 class TestStreams:
@@ -237,15 +237,32 @@ class TestForwardStep:
         with pytest.raises(ValueError):
             forward_step(PartialPerm(2, (None, None)))
 
-    def test_position_twice_names_input(self, monkeypatch):
-        # two one-ball zigzags over one position emit two stream balls there
-        monkeypatch.setattr(matrixball, "_forward_zigzags", lambda win, n: [[(1, 1)], [(3, 1)]])
-        msg = (
-            r"position 1 produced twice: n=2, window=\(1, 2\), "
-            r"ball=\(3, 1\), output so far=\(1, None\)"
-        )
-        with pytest.raises(InvariantError, match=msg):
-            forward_step(PartialPerm(2, (1, 2)))
+    def test_positions_partition_domain(self):
+        # every ball keeps its position: it carries an outer post of its
+        # zigzag or gives the position to the stream ball, never both.  The
+        # inputs are every window with n <= 5 and shifts in {-1, 0, 1},
+        # seeded windows up to n = 64, and each window with holes that their
+        # forward steps reach, once.
+        rng = random.Random(61)
+        todo = [
+            tuple(v + n * s for v, s in zip(perm, shifts))
+            for n in range(1, 6)
+            for perm in itertools.permutations(range(1, n + 1))
+            for shifts in itertools.product((-1, 0, 1), repeat=n)
+        ]
+        for n in (6, 8, 12, 16, 24, 32, 48, 64):
+            todo += [_random_affine_perm(rng, n, spread).window for spread in (1, 2, 4, 8)]
+        seen = set()
+        while todo:
+            win = todo.pop()
+            if win in seen:
+                continue
+            seen.add(win)
+            w = PartialPerm(len(win), win)
+            out, stream = forward_step(w)
+            assert sorted(out.domain() + stream.domain()) == list(w.domain()), win
+            if out.domain():
+                todo.append(out.window)
 
     def test_zigzag_order_names_input(self, monkeypatch):
         # one label on a chain of two balls: the zigzag's values descend
@@ -409,15 +426,14 @@ class TestBackwardStep:
             normalized.add((x - q * n, y - q * n))
         assert produced == normalized
 
-    def test_position_twice_names_input(self, monkeypatch):
-        # the second zigzag's corner-post lands on the first one's position
-        monkeypatch.setattr(matrixball, "_zigzags", lambda xs, vs, lab, n, d, first: [[], [(3, 5)]])
+    def test_position_twice_names_input(self):
+        # the stream ball's position 1 still holds the input's ball
         msg = (
-            r"position 1 produced twice: n=2, window=\(None, None\), "
-            r"stream=\(\(1, 1\), \(2, 2\)\), ball=\(3, 2\), output so far=\(1, None\)"
+            r"position 1 produced twice: n=2, window=\(1, None\), "
+            r"stream=\(\(1, 2\),\), ball=\(1, 3\), output so far=\(0, None\)$"
         )
         with pytest.raises(InvariantError, match=msg):
-            _bk_win((None, None), 2, ((1, 1), (2, 2)))
+            _bk_win((1, None), 2, ((1, 2),))
 
 
 class TestPsi:
@@ -448,6 +464,14 @@ class TestPsi:
         info = psi_cache_info()
         assert info.hits >= 1
         assert info.currsize <= info.maxsize
+
+    def test_row_count_needs_no_recursion(self):
+        # 80 rows, 40 frames of headroom: a frame per row would overflow
+        p, q, rho = one_column_triple(80)
+        psi_cache_clear()
+        with stack_headroom(40):
+            w = psi(p, q, rho)
+        assert phi(w) == DomTriple(p, q, rho)
 
     def test_holes_name_input(self, monkeypatch):
         # backward steps that place no ball leave every position empty

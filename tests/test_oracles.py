@@ -11,7 +11,6 @@ from ambc.matrixball import (
     _chain_runs,
     _channel_labels,
     _forward_win,
-    _forward_zigzags,
     _max_density,
     _phi_win,
     _seed,
@@ -307,12 +306,13 @@ class TestForwardStepBookkeeping:
             anti = anticanonical_tabloid(lam)
             diff = rng.choice(dominant_diffs(lam, -1, 1))
             w = psi(anti, anti, diff)
-            for balls in _forward_zigzags(w.window, n):
-                xs = [x for x, _ in balls]
-                ys = [y for _, y in balls]
-                inner = list(zip(xs, ys))
-                outer = [(xs[i], ys[i + 1]) for i in range(len(balls) - 1)]
-                stream_ball = (xs[-1], ys[0])
+            xs, vs = _balls(w.window)
+            chan = _southwest_channel(xs, vs, n)
+            lab = _channel_labels(xs, vs, chan, n)
+            for balls in _zigzags(xs, vs, lab, n, len(chan), 0):
+                inner = [(x, y) for x, y, _ in balls]
+                outer = [(x, y) for (x, _, _), (_, y, _) in zip(balls, balls[1:])]
+                stream_ball = (balls[-1][0], balls[0][1])
                 count = lambda pts: sorted(
                     (self.interval_index(x, lam, n), self.interval_index(y, lam, n))
                     for x, y in pts
