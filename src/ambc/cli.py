@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -21,8 +22,20 @@ from .repring import format_gl_weight, fweight_from_json, parse_gl_weight, tenso
 from .tabloids import format_shape, parse_shape
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every token starting with a minus sign
+    and a digit as an argument, not an option: argparse alone does so only for
+    a single number, so it took a weight such as ``-1,-2`` for an unknown
+    option.  No option of ``ambc`` starts that way.  The subcommand parsers
+    are made from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ambc", description=__doc__)
+    top = _Parser(prog="ambc", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
     sub = top.add_subparsers(dest="command", required=True)
 

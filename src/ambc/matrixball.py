@@ -40,6 +40,16 @@ order, descending (turned) x: a bound from a ball strictly southeast takes
 effect in the same round, so the rounds count the wrap-arounds of a longest
 path through the translates.  The order only saves rounds; neither numbering
 depends on the order in which balls are visited.
+
+The relaxation builds its table of bounds one unordered pair of balls at a
+time: two balls of a window lie less than n apart and differ in value modulo
+n, so floor(-a/n) = -1 - floor(a/n) for both differences a, and the two
+quotients of a pair give the bounds in both directions.  After a first round
+over every bound, a ball is checked only against the balls whose labels
+dropped since its own last check, kept in a drop log; the others cannot lower
+it.  Each round leaves the labels a full round would, so the rounds, the
+labels and the failure after m + 2 rounds for m balls are those of full
+rounds.
 """
 from __future__ import annotations
 
@@ -293,35 +303,72 @@ def _seed(xs: list, vs: list, sources, n: int, first: int) -> list:
 def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     """Lower the labels of the balls (xs[t], vs[t]) in place to the greatest
     labeling at or below them that satisfies the longest-path bounds for
-    period shift d.  A translate of ball u by k(n, n) lies strictly southeast
-    of ball t from k = max((x_t - x_u) // n, (v_t - v_u) // n) + 1 on, so the
-    bound is lab[t] <= lab[u] + k d - 1: a min-plus relaxation that settles
-    within m rounds for m balls unless no such labeling exists.  Returns
-    whether it settled.
+    period shift d >= 1.  A translate of ball u by k(n, n) lies strictly
+    southeast of ball t from k = max((x_t - x_u) // n, (v_t - v_u) // n) + 1
+    on, so the bound is lab[t] <= lab[u] + k d - 1: a min-plus relaxation
+    that settles within m rounds for m balls unless no such labeling exists.
+    Returns whether it settled.
+
+    The table of bounds is built one unordered pair at a time.  Two balls of
+    a window (turned or not) lie less than n apart and their values differ
+    modulo n, so neither difference is a multiple of n and floor(-a/n) = -1 -
+    floor(a/n): with k1 = (x_t - x_u) // n and k2 = (v_t - v_u) // n, the
+    bound of u on t is max(k1, k2) d + d - 1 and that of t on u is
+    -min(k1, k2) d - 1.  Both quotients are taken, not read off the list
+    order, so the balls may come in any order.
 
     Each round visits the balls in sweep order, descending x (both callers
     pass monotone positions, so this is the list or its reverse).  A bound
     with k = 0 comes from a ball of larger x, already lowered in the same
     round; only the wrap bounds (k >= 1) wait for the next round, so the
-    rounds count wrap-arounds.  The result does not depend on the order."""
-    shifts = []
-    for t, (x, v) in enumerate(zip(xs, vs)):
-        row = []
-        for xu, vu in zip(xs, vs):
-            k1 = (x - xu) // n
-            k2 = (v - vu) // n
-            row.append((k1 if k1 > k2 else k2) * d + d - 1)
-        shifts.append((t, row))
-    if xs and xs[0] < xs[-1]:
-        shifts.reverse()
-    for _ in range(len(xs) + 2):
-        changed = False
-        for t, row in shifts:
-            low = min(map(add, lab, row))
+    rounds count wrap-arounds.  The first round checks every bound.  Each
+    ball whose label drops goes on a drop log, and each ball notes the log's
+    length at its check: a checked label is within every bound as the labels
+    stood, so only the balls dropped since can lower it, and a later round
+    checks a ball against those alone.  Every round thus leaves the labels
+    a full round would, and the relaxation stops after the first round that
+    drops nothing, or fails after m + 2 rounds.  The result does not depend
+    on the order."""
+    m = len(xs)
+    if m < 2:
+        return True  # a lone ball's one bound, lab <= lab + d - 1, holds
+    rows = [[d - 1] * m for _ in xs]
+    for t in range(m):
+        x, v, row = xs[t], vs[t], rows[t]
+        for u in range(t + 1, m):
+            k1 = (x - xs[u]) // n
+            k2 = (v - vs[u]) // n
+            if k1 < k2:
+                row[u] = k2 * d + d - 1
+                rows[u][t] = -k1 * d - 1
+            else:
+                row[u] = k1 * d + d - 1
+                rows[u][t] = -k2 * d - 1
+    sweep = range(m - 1, -1, -1) if xs[0] < xs[-1] else range(m)
+    log = []
+    seen = [0] * m
+    for t in sweep:
+        low = min(map(add, lab, rows[t]))
+        if low < lab[t]:
+            lab[t] = low
+            log.append(t)
+        seen[t] = len(log)
+    if not log:
+        return True
+    for _ in range(m + 1):
+        start = len(log)
+        for t in sweep:
+            row = rows[t]
+            low = lab[t]
+            for u in log[seen[t]:]:
+                c = lab[u] + row[u]
+                if c < low:
+                    low = c
             if low < lab[t]:
                 lab[t] = low
-                changed = True
-        if not changed:
+                log.append(t)
+            seen[t] = len(log)
+        if len(log) == start:
             return True
     return False
 

@@ -232,6 +232,39 @@ class TestTensor:
         assert code == 2
 
 
+class TestMinusLeadingArguments:
+    """A positional argument that starts with a minus sign and a digit is an
+    argument, not an option, in every subcommand."""
+
+    @pytest.mark.parametrize(
+        "head, args",
+        [
+            (("lv",), ("-1,-2",)),
+            (("--format", "json", "lv"), ("-1,-2",)),
+            (("lv",), ("-1,-1,-3",)),
+            (("tensor", "--m", "2"), ("-1,-2", "0,0")),
+            (("tensor", "--m", "2"), ("0,0", "-1,-2")),
+            (("--format", "json", "tensor", "--m", "3"), ("-1,-2,-2", "1,0,-5")),
+        ],
+    )
+    def test_same_as_separator_form(self, capsys, head, args):
+        code, out, err = run(capsys, *head, *args)
+        code2, out2, _ = run(capsys, *head, "--", *args)
+        assert code == code2 == 0, err
+        assert out == out2 and out
+
+    def test_option_after_argument(self, capsys):
+        code, out, _ = run(capsys, "tensor", "-1,-2", "0,0", "--m", "2")
+        code2, out2, _ = run(capsys, "tensor", "--m", "2", "--", "-1,-2", "0,0")
+        assert code == code2 == 0 and out == out2
+
+    def test_help_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lv", "-h"])
+        out, _ = capsys.readouterr()
+        assert exc.value.code == 0 and out.startswith("usage: ambc lv")
+
+
 class TestSelfCheck:
     def test_runs_clean(self, capsys):
         code, out, _ = run(capsys, "self-check", "--samples", "6")

@@ -194,6 +194,34 @@ class TestSettleOrder:
             self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n, rng)
 
 
+class TestSettleFailurePath:
+    """On small balls in any order, with any values and seed labels, _settle
+    settles exactly when no substream is denser than d, and then reaches the
+    labels of single decrements from the same seed."""
+
+    def test_seeded(self):
+        rng = random.Random(51)
+        settled = 0
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            m = rng.randint(1, n)
+            spread = rng.randint(0, 3)
+            xs = rng.sample(range(1, n + 1), m)
+            vs = [r + n * rng.randint(-spread, spread) for r in rng.sample(range(1, n + 1), m)]
+            seed = [rng.randint(-10, 10) for _ in range(m)]
+            d = rng.randint(1, 4)
+            win = [None] * n
+            for x, v in zip(xs, vs):
+                win[x - 1] = v
+            lab = list(seed)
+            ok = _settle(xs, vs, lab, n, d)
+            assert ok == (_max_density(tuple(win), n) <= d), (n, xs, vs, seed, d)
+            if ok:
+                settled += 1
+                assert lab == settle_by_decrement(xs, vs, seed, n, d), (n, xs, vs, seed, d)
+        assert 0 < settled < 3000
+
+
 class TestZigzagOrder:
     """_zigzags groups the balls into label classes in one pass and sorts each
     class, so the order in which the balls come does not matter."""
