@@ -41,15 +41,10 @@ effect in the same round, so the rounds count the wrap-arounds of a longest
 path through the translates.  The order only saves rounds; neither numbering
 depends on the order in which balls are visited.
 
-The relaxation builds its table of bounds one unordered pair of balls at a
-time: two balls of a window lie less than n apart and differ in value modulo
-n, so floor(-a/n) = -1 - floor(a/n) for both differences a, and the two
-quotients of a pair give the bounds in both directions.  After a first round
-over every bound, a ball is checked only against the balls whose labels
-dropped since its own last check, kept in a drop log; the others cannot lower
-it.  Each round leaves the labels a full round would, so the rounds, the
-labels and the failure after m + 2 rounds for m balls are those of full
-rounds.
+The relaxation builds its table of bounds one pair of balls at a time (one
+pair of quotients gives the bound in both directions), and after a full first
+round checks each ball only against the balls dropped since its last check,
+kept in a drop log.  Its rounds, labels and result are those of full rounds.
 """
 from __future__ import annotations
 
@@ -309,26 +304,24 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     that settles within m rounds for m balls unless no such labeling exists.
     Returns whether it settled.
 
-    The table of bounds is built one unordered pair at a time.  Two balls of
-    a window (turned or not) lie less than n apart and their values differ
-    modulo n, so neither difference is a multiple of n and floor(-a/n) = -1 -
-    floor(a/n): with k1 = (x_t - x_u) // n and k2 = (v_t - v_u) // n, the
-    bound of u on t is max(k1, k2) d + d - 1 and that of t on u is
-    -min(k1, k2) d - 1.  Both quotients are taken, not read off the list
-    order, so the balls may come in any order.
+    The table is built one unordered pair at a time.  Two balls of a window,
+    turned or not, lie less than n apart and differ in value modulo n, so
+    floor(-a/n) = -1 - floor(a/n) for both differences: with k1 = (x_t -
+    x_u) // n and k2 = (v_t - v_u) // n, u bounds t by max(k1, k2) d + d - 1
+    and t bounds u by -min(k1, k2) d - 1.  Both quotients are taken, so the
+    balls may come in any order.
 
     Each round visits the balls in sweep order, descending x (both callers
     pass monotone positions, so this is the list or its reverse).  A bound
     with k = 0 comes from a ball of larger x, already lowered in the same
     round; only the wrap bounds (k >= 1) wait for the next round, so the
-    rounds count wrap-arounds.  The first round checks every bound.  Each
-    ball whose label drops goes on a drop log, and each ball notes the log's
-    length at its check: a checked label is within every bound as the labels
-    stood, so only the balls dropped since can lower it, and a later round
-    checks a ball against those alone.  Every round thus leaves the labels
-    a full round would, and the relaxation stops after the first round that
-    drops nothing, or fails after m + 2 rounds.  The result does not depend
-    on the order."""
+    rounds count wrap-arounds.  The first round checks every bound, and
+    each ball whose label drops goes on a drop log.  A checked label meets
+    every bound as the labels then stood, so a later round checks a ball only
+    against the log since its last check.  Each round leaves the labels a
+    full round would; the relaxation stops after the first round that drops
+    nothing, or fails after m + 2 rounds.  The result does not depend on the
+    order."""
     m = len(xs)
     if m < 2:
         return True  # a lone ball's one bound, lab <= lab + d - 1, holds
