@@ -159,14 +159,13 @@ def _star_probe(n: int, rows: Rows, i: int) -> Optional[Rows]:
     return swapped if images == {swapped} else None
 
 
-def _probe_altitudes(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for rho in itertools.product((-1, 0, 1), repeat=len(lam)):
-        if all(
-            rho[k] <= rho[k + 1] for a, b in equal_part_runs(lam) for k in range(a, b - 1)
-        ):
-            out.append(rho)
-    return out
+@lru_cache(maxsize=None)
+def _probe_altitudes(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The altitudes in {-1, 0, 1}^k weakly increasing on each run of equal parts
+    of lam, top row fastest: psi steps bottom-up, so probes share first steps."""
+    runs = [range(a, b - 1) for a, b in equal_part_runs(lam)]
+    top_fastest = (r[::-1] for r in itertools.product((-1, 0, 1), repeat=len(lam)))
+    return tuple(rho for rho in top_fastest if all(rho[k] <= rho[k + 1] for ks in runs for k in ks))
 
 
 def is_distinguished(w: AffinePerm) -> bool:

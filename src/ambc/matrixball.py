@@ -29,22 +29,23 @@ Anchoring conventions (the results below are anchor-independent, but the
 intermediate numberings are not): a channel or stream ball with the smallest
 window x gets label 1.  Both numberings solve one constraint system, the
 longest-path bounds: a ball strictly southeast of a translate of another
-ball carries a larger label than that translate.  Each starts from a seed:
-the channel or stream translates strictly northwest of a ball bound its
-label, from below for a channel and from above for a stream.  The channel
-numbering is the least solution at or above its seed, the backward numbering
-the greatest solution at or below its seed.  Turning the balls by 180
-degrees (negating positions, values and labels) maps the one fixpoint onto
-the other, so one relaxation computes both.  It visits the balls in sweep
-order, descending (turned) x: a bound from a ball strictly southeast takes
-effect in the same round, so the rounds count the wrap-arounds of a longest
-path through the translates.  The order only saves rounds; neither numbering
-depends on the order in which balls are visited.
+ball carries a larger label than that translate.  The channel numbering is
+the least solution that gives the channel balls their labels.  The backward
+numbering is the greatest solution at or below its seed, where the stream
+translates strictly northwest of a ball bound its label.  Turning the balls
+by 180 degrees (negating positions, values and labels) maps the one fixpoint
+onto the other, so one relaxation computes both.  It visits the balls in
+sweep order, descending (turned) x: a bound from a ball strictly southeast
+takes effect in the same round, so the rounds count the wrap-arounds of a
+longest path through the translates.  The order only saves rounds; neither
+numbering depends on the order in which balls are visited.
 
-The relaxation builds its table of bounds one pair of balls at a time (one
-pair of quotients gives the bound in both directions), and after a full first
-round checks each ball only against the balls dropped since its last check,
-kept in a drop log.  Its rounds, labels and result are those of full rounds.
+The relaxation builds its table of bounds one pair of balls at a time, from
+one quotient and one comparison, and after a full first round checks each
+ball only against the balls dropped since its last check, kept in a drop
+log.  Its rounds, labels and result are those of full rounds.  The channel
+numbering starts every other ball unbounded, so its first round applies the
+channel's bounds and no seed is computed.
 """
 from __future__ import annotations
 
@@ -278,17 +279,18 @@ class Numbering:
 def _seed(xs: list, vs: list, sources, n: int, first: int) -> list:
     """Seed each ball (xs[t], vs[t]) with max(l_s + k d) over the source
     balls s = (x_s, v_s), where the i-th source (from 0) carries l_s = first
-    + i, d is the number of sources, and k = min((x_t - x_s - 1) // n, (v_t -
-    v_s - 1) // n) is the largest shift whose translate of s by k(n, n) lies
-    strictly northwest of ball t."""
+    + i, d is the number of sources, and k, the largest shift whose translate
+    of s by k(n, n) lies strictly northwest of ball t, is the least of (v_t -
+    v_s - 1) // n and (both lie in one window) 0 if x_s < x_t, else -1."""
     d = len(sources)
+    src = [(sx, sy + 1, j) for j, (sx, sy) in enumerate(sources, start=first)]
     lab = []
     for x, v in zip(xs, vs):
         best = None
-        for j, (sx, sy) in enumerate(sources, start=first):
-            k1 = (x - sx - 1) // n
-            k2 = (v - sy - 1) // n
-            cand = (k1 if k1 < k2 else k2) * d + j
+        for sx, sy, j in src:
+            k = (v - sy) // n
+            c = 0 if sx < x else -1
+            cand = (k if k < c else c) * d + j
             if best is None or cand > best:
                 best = cand
         lab.append(best)
@@ -304,12 +306,12 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     that settles within m rounds for m balls unless no such labeling exists.
     Returns whether it settled.
 
-    The table is built one unordered pair at a time.  Two balls of a window,
-    turned or not, lie less than n apart and differ in value modulo n, so
-    floor(-a/n) = -1 - floor(a/n) for both differences: with k1 = (x_t -
-    x_u) // n and k2 = (v_t - v_u) // n, u bounds t by max(k1, k2) d + d - 1
-    and t bounds u by -min(k1, k2) d - 1.  Both quotients are taken, so the
-    balls may come in any order.
+    The table is built one unordered pair at a time from one quotient, q =
+    (v_t - v_u) // n.  Two balls of a window, turned or not, lie less than n
+    apart, so (x_t - x_u) // n is 0 or -1 as their positions compare, and
+    they differ in value modulo n, so (v_u - v_t) // n = -1 - q.  The bound on
+    the ball of larger x is mostly the default d - 1 and is then not stored.
+    Positions are compared, so the balls may come in any order.
 
     Each round visits the balls in sweep order, descending x (both callers
     pass monotone positions, so this is the list or its reverse).  A bound
@@ -329,14 +331,18 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
     for t in range(m):
         x, v, row = xs[t], vs[t], rows[t]
         for u in range(t + 1, m):
-            k1 = (x - xs[u]) // n
-            k2 = (v - vs[u]) // n
-            if k1 < k2:
-                row[u] = k2 * d + d - 1
-                rows[u][t] = -k1 * d - 1
+            q = (v - vs[u]) // n
+            if x < xs[u]:
+                if q >= -1:
+                    row[u] = q * d + d - 1
+                    continue
+                row[u] = -1
+                rows[u][t] = -q * d - 1
+            elif q < 0:
+                rows[u][t] = -q * d - 1
             else:
-                row[u] = k1 * d + d - 1
-                rows[u][t] = -k2 * d - 1
+                row[u] = q * d + d - 1
+                rows[u][t] = -1
     sweep = range(m - 1, -1, -1) if xs[0] < xs[-1] else range(m)
     log = []
     seen = [0] * m
@@ -346,11 +352,11 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
             lab[t] = low
             log.append(t)
         seen[t] = len(log)
-    if not log:
-        return True
     for _ in range(m + 1):
         start = len(log)
         for t in sweep:
+            if seen[t] == len(log):
+                continue
             row = rows[t]
             low = lab[t]
             for u in log[seen[t]:]:
@@ -369,11 +375,14 @@ def _settle(xs: list, vs: list, lab: list, n: int, d: int) -> bool:
 def _channel_labels(xs: list, vs: list, chan: tuple[int, ...], n: int) -> list:
     """Labels of the balls (xs[t], vs[t]), numbered by longest paths out of
     the proper numbering of the channel with ascending ball indices ``chan``
-    (its first ball is anchored at 1): the least labeling at or above the
-    seed that satisfies the longest-path bounds, computed by ``_settle`` on
-    the balls turned by 180 degrees.  It exists unless the channel is not of
-    maximum density."""
-    lab = [-label for label in _seed(xs, vs, [(xs[t], vs[t]) for t in chan], n, 2)]
+    (its first ball is anchored at 1): the least labeling that satisfies the
+    longest-path bounds and gives the channel balls those labels, computed by
+    ``_settle`` on the balls turned by 180 degrees.  The other balls start
+    unbounded, so the first round applies the channel's bounds, the seed of
+    the numbering.  It exists unless the channel is not of maximum density."""
+    lab = [float("inf")] * len(xs)
+    for j, t in enumerate(chan, start=1):
+        lab[t] = -j
     if not _settle([-x for x in xs], [-v for v in vs], lab, n, len(chan)):
         raise InvariantError(
             f"channel numbering failed to stabilize: n={n}, balls={list(zip(xs, vs))}, "
@@ -605,24 +614,20 @@ def backward_step(w: PartialPerm, s: Stream) -> PartialPerm:
 
 
 def psi_cache_clear() -> None:
-    """Drop memoized backward-map prefixes."""
-    _psi_suffix.cache_clear()
+    """Drop memoized backward steps."""
+    _psi_step.cache_clear()
 
 
 def psi_cache_info():
-    """Hits, misses, maximum and current size of the backward-map prefix memo."""
-    return _psi_suffix.cache_info()
+    """Hits, misses, maximum and current size of the memo of recent backward steps."""
+    return _psi_step.cache_info()
 
 
 @lru_cache(maxsize=4096)
-def _psi_suffix(items: tuple, n: int) -> Win:
-    """Backward steps over ``items``, a bottom-up tuple of (q_row, p_row,
-    altitude) row data; recent prefixes are shared across calls.  Callers
-    walk the prefixes in order, so the inner lookup hits and never recurses."""
-    if not items:
-        return (None,) * n
-    q_row, p_row, alt = items[-1]
-    return _bk_win(_psi_suffix(items[:-1], n), n, _stream_pairs_for(q_row, p_row, alt, n))
+def _psi_step(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
+    """The backward step from ``win`` against the stream of one row of the
+    triple; recent steps are shared across calls."""
+    return _bk_win(win, n, _stream_pairs_for(q_row, p_row, alt, n))
 
 
 def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:
@@ -631,13 +636,9 @@ def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:
         raise ValueError("triple components must share one shape")
     if any(a < b for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] < 1):
         raise ValueError(f"row sizes must be weakly decreasing: {sizes}")
-    items = tuple(
-        (tuple(q_row), tuple(p_row), alt)
-        for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(tuple(rho)))
-    )
     win = (None,) * n
-    for r in range(1, len(items) + 1):
-        win = _psi_suffix(items[:r], n)
+    for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(tuple(rho))):
+        win = _psi_step(win, tuple(q_row), tuple(p_row), alt, n)
     return win
 
 

@@ -148,9 +148,9 @@ def channel_labels_round_robin(win, n: int, channel: Sequence[int]) -> dict[int,
     lab[j] + k d + 1 for the largest k whose translate of j by k(n, n) lies
     strictly northwest of x.  It stops at the least labeling at or above the
     seed that satisfies every such bound, whatever the visiting order;
-    ``matrixball._channel_labels`` reaches the same labeling from
-    ``matrixball._seed`` by running ``matrixball._settle`` on the balls
-    turned by 180 degrees.
+    ``matrixball._channel_labels`` reaches the same labeling by running
+    ``matrixball._settle`` on the balls turned by 180 degrees, the channel
+    balls at their labels and the others unbounded.
     """
     dom = [i + 1 for i, v in enumerate(win) if v is not None]
     d = len(channel)

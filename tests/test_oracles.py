@@ -222,6 +222,49 @@ class TestSettleFailurePath:
         assert 0 < settled < 3000
 
 
+class TestSeed:
+    """_seed against a search over the translates of each source: the largest
+    shift k that puts the source's translate strictly northwest of the ball.
+    Balls and sources come in any order, in window or turned positions, a
+    source may sit on a ball, and values spread over several windows."""
+
+    @staticmethod
+    def seed_by_search(xs, vs, sources, n, first):
+        d = len(sources)
+        out = []
+        for x, v in zip(xs, vs):
+            cands = []
+            for j, (sx, sy) in enumerate(sources, start=first):
+                k = -(abs(x - sx) + abs(v - sy)) // n - 2
+                assert sx + k * n < x and sy + k * n < v
+                while sx + (k + 1) * n < x and sy + (k + 1) * n < v:
+                    k += 1
+                cands.append(j + k * d)
+            out.append(max(cands))
+        return out
+
+    def test_seeded(self):
+        rng = random.Random(53)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            sign = rng.choice((1, -1))
+            balls, sources = (
+                [
+                    (sign * x, sign * (r + n * rng.randint(-3, 3)))
+                    for x, r in zip(
+                        rng.sample(range(1, n + 1), m), rng.sample(range(1, n + 1), m)
+                    )
+                ]
+                for m in (rng.randint(1, n), rng.randint(1, n))
+            )
+            if rng.random() < 0.5:  # the channel numbering's seed: sources on balls
+                sources = rng.sample(balls, rng.randint(1, len(balls)))
+            xs, vs = [x for x, _ in balls], [v for _, v in balls]
+            first = rng.randint(-2, 2)
+            expected = self.seed_by_search(xs, vs, sources, n, first)
+            assert _seed(xs, vs, sources, n, first) == expected, (n, balls, sources, first)
+
+
 class TestZigzagOrder:
     """_zigzags groups the balls into label classes in one pass and sorts each
     class, so the order in which the balls come does not matter."""
