@@ -17,6 +17,7 @@ stored as integers in 1..n.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -302,7 +303,40 @@ def finite_permutations(n: int) -> Iterable[AffinePerm]:
         yield AffinePerm(n, p)
 
 
-# --- window text format -----------------------------------------------------
+# --- text formats -----------------------------------------------------------
+
+
+def read_json(text: str, what: str, keys: Sequence[str] = ()):
+    """Decode the JSON ``text`` of a ``what``; with ``keys``, the value must
+    be an object with exactly those keys.  Any other text, nesting too deep
+    for the decoder included, is a ValueError."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"bad {what} text: {e}") from None
+    if keys and not (isinstance(data, dict) and set(data) == set(keys)):
+        names = ", ".join(f'"{k}"' for k in keys)
+        raise ValueError(f"{what} must be an object with keys {names}")
+    return data
+
+
+def compact_json(data) -> str:
+    """JSON without spaces, the form of every JSON text format."""
+    return json.dumps(data, separators=(",", ":"))
+
+
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Read a comma list of integers like "2,-1,0" ("−" is a minus sign)."""
+    try:
+        return tuple(int(p) for p in text.replace("−", "-").split(","))
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
+def format_ints(xs: Iterable[int]) -> str:
+    """Write integers as a comma list like "2,-1,0"."""
+    return ",".join(map(str, xs))
+
 
 _WINDOW_RE = re.compile(r"^\[(.*)\]$", re.S)
 _HOLES = {"", "_", "∅"}
@@ -313,10 +347,11 @@ def format_window(w: PartialPerm) -> str:
     return "[" + ",".join("_" if v is None else str(v) for v in w.window) + "]"
 
 
-def parse_window(text: str) -> PartialPerm:
+def parse_window(text: str, total: bool = False) -> PartialPerm:
     """
     Parse "[a1,a2,...]" (holes written "_" or the empty-set sign) back into a
-    permutation.  Returns an AffinePerm when the window is total.
+    permutation.  Returns an AffinePerm when the window is total; with
+    ``total``, a window with holes is a ValueError.
 
     >>> parse_window("[3,7,14,2,18,4,19,8,6]").n
     9
@@ -340,4 +375,6 @@ def parse_window(text: str) -> PartialPerm:
         raise ValueError(f"empty window: {text!r}")
     if all(v is not None for v in win):
         return AffinePerm(len(win), tuple(win))
+    if total:
+        raise ValueError(f"window has holes: {text!r}")
     return PartialPerm(len(win), tuple(win))

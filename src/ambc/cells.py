@@ -66,14 +66,14 @@ def right_cell(w: AffinePerm) -> Tabloid:
 
 
 def cell_label(w: AffinePerm, kind: str) -> CellLabel:
+    if kind not in ("two_sided", "left", "right"):
+        raise ValueError(f"bad cell kind {kind!r}")
     t = phi(w)
     if kind == "two_sided":
         return CellLabel(kind, t.shape())
     if kind == "left":
         return CellLabel(kind, t.shape(), t.q)
-    if kind == "right":
-        return CellLabel(kind, t.shape(), t.p)
-    raise ValueError(f"bad cell kind {kind!r}")
+    return CellLabel(kind, t.shape(), t.p)
 
 
 def star_right(w: AffinePerm, i: int) -> Optional[AffinePerm]:

@@ -12,14 +12,14 @@ import re
 import sys
 from typing import Optional
 
-from .affine import AffinePerm, InvariantError, format_window, parse_window
+from .affine import AffinePerm, InvariantError, format_ints, format_window, parse_window, read_json
 from .cells import distinguished_involutions
 from .jring import format_jelement, jelement_to_json, t_multiply
 from .lusztig_vogan import format_lv_pair, theta1, theta1_inverse
 from .matrixball import format_triple, parse_triple, phi, psi_triple
 from .oracles import self_check
-from .repring import format_gl_weight, fweight_from_json, parse_gl_weight, tensor_gl
-from .tabloids import format_shape, parse_shape
+from .repring import fweight_from_json, parse_gl_weight, tensor_gl
+from .tabloids import parse_shape
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,13 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _require_total(text: str) -> AffinePerm:
-    w = parse_window(text)
-    if not isinstance(w, AffinePerm):
-        raise ValueError(f"window has holes: {text!r}")
-    return w
-
-
 def _check_n(n: Optional[int], expected: int) -> int:
     if n is not None and n != expected:
         raise ValueError(f"--n {n} contradicts input of size {expected}")
@@ -88,7 +81,7 @@ def _check_n(n: Optional[int], expected: int) -> int:
 
 
 def _cmd_forward(args) -> int:
-    triple = phi(_require_total(args.window))
+    triple = phi(parse_window(args.window, total=True))
     print(format_triple(triple))
     return 0
 
@@ -113,8 +106,8 @@ def _cmd_involutions(args) -> int:
 
 
 def _cmd_jmult(args) -> int:
-    u = _require_total(args.u_window)
-    v = _require_total(args.v_window)
+    u = parse_window(args.u_window, total=True)
+    v = parse_window(args.v_window, total=True)
     if u.n != v.n:
         raise ValueError(f"window periods differ: {u.n} vs {v.n}")
     prod = t_multiply(u, v)
@@ -127,16 +120,16 @@ def _cmd_lv(args) -> int:
     if args.format == "json":
         print(format_lv_pair(pair))
     else:
-        print(f"shape {format_shape(pair.shape)}")
-        print(f"weight {format_gl_weight(pair.weight.flatten())}")
+        print(f"shape {format_ints(pair.shape)}")
+        print(f"weight {format_ints(pair.weight.flatten())}")
     return 0
 
 
 def _cmd_lv_inverse(args) -> int:
     lam = parse_shape(args.shape)
     _check_n(args.n, sum(lam))
-    weight = fweight_from_json(list(lam), json.loads(args.weight))
-    print(format_gl_weight(theta1_inverse(lam, weight)))
+    weight = fweight_from_json(list(lam), read_json(args.weight, "weight"))
+    print(format_ints(theta1_inverse(lam, weight)))
     return 0
 
 
@@ -150,7 +143,7 @@ def _cmd_tensor(args) -> int:
         print(json.dumps([{"mult": c, "weight": list(w)} for w, c in dec]))
     else:
         for w, c in dec:
-            print(f"{c} {format_gl_weight(w)}")
+            print(f"{c} {format_ints(w)}")
     return 0
 
 

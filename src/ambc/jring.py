@@ -13,11 +13,10 @@ carried back through upsilon_inverse.
 """
 from __future__ import annotations
 
-import json
 import re
 from typing import Sequence
 
-from .affine import AffinePerm, parse_window, format_window
+from .affine import AffinePerm, compact_json, format_window, parse_window
 from .cells import distinguished_involutions, upsilon, upsilon_inverse
 from .matrixball import phi, psi
 from .repring import tensor_f
@@ -106,9 +105,7 @@ def format_jelement(a: JElement) -> str:
 
 def jelement_to_json(a: JElement) -> str:
     terms = sorted(a.items(), key=lambda item: item[0].window)
-    return json.dumps(
-        [{"coef": c, "window": list(w.window)} for w, c in terms], separators=(",", ":")
-    )
+    return compact_json([{"coef": c, "window": w.window} for w, c in terms])
 
 
 _TERM_RE = re.compile(r"^\s*(-?\d+)\s*\*\s*(\[[^\]]*\])\s*$")
@@ -124,9 +121,7 @@ def parse_jelement(text: str) -> JElement:
         m = _TERM_RE.match(part)
         if not m:
             raise ValueError(f"bad term {part!r}")
-        w = parse_window(m.group(2))
-        if not isinstance(w, AffinePerm):
-            raise ValueError(f"holes not allowed in basis windows: {part!r}")
+        w = parse_window(m.group(2), total=True)
         c = int(m.group(1))
         out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}

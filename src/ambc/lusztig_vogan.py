@@ -16,7 +16,6 @@ test suite as an independent cross-check of both directions.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +23,11 @@ from .affine import (
     AffinePerm,
     InvariantError,
     check_partition,
+    compact_json,
     conjugate_partition,
     from_dominant_weight,
     min_double_coset_rep,
+    read_json,
     window_diagonals,
 )
 from .cells import upsilon, upsilon_inverse
@@ -168,19 +169,11 @@ def zero_pair(lam: Sequence[int]) -> LVPair:
 
 
 def format_lv_pair(p: LVPair) -> str:
-    return json.dumps(
-        {"shape": list(p.shape), "weight_blocks": [list(b) for b in p.weight.blocks]},
-        separators=(",", ":"),
-    )
+    return compact_json({"shape": p.shape, "weight_blocks": p.weight.blocks})
 
 
 def parse_lv_pair(text: str) -> LVPair:
     """Parse the JSON form {"shape": [...], "weight_blocks": [[...], ...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bad pair text: {e}") from None
-    if not isinstance(data, dict) or set(data) != {"shape", "weight_blocks"}:
-        raise ValueError('pair must be an object with keys "shape" and "weight_blocks"')
+    data = read_json(text, "pair", ("shape", "weight_blocks"))
     weight = fweight_from_json(data["shape"], data["weight_blocks"])
     return LVPair(weight.shape, weight)

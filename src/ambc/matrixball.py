@@ -49,13 +49,20 @@ channel's bounds and no seed is computed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Optional, Sequence
 
-from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div, _is_int
+from .affine import (
+    AffinePerm,
+    InvariantError,
+    PartialPerm,
+    _ceil_div,
+    _is_int,
+    compact_json,
+    read_json,
+)
 from .tabloids import Rows, Tabloid, is_dominant_wrt, tabloid_from_lists
 
 Win = tuple  # window tuple with int or None entries
@@ -276,14 +283,14 @@ class Numbering:
         return table[r + 1] + q * self.step
 
 
-def _seed(xs: list, vs: list, sources, n: int, first: int) -> list:
+def _seed(xs: list, vs: list, sources, n: int) -> list:
     """Seed each ball (xs[t], vs[t]) with max(l_s + k d) over the source
-    balls s = (x_s, v_s), where the i-th source (from 0) carries l_s = first
-    + i, d is the number of sources, and k, the largest shift whose translate
-    of s by k(n, n) lies strictly northwest of ball t, is the least of (v_t -
-    v_s - 1) // n and (both lie in one window) 0 if x_s < x_t, else -1."""
+    balls s = (x_s, v_s), where the i-th source (from 1) carries l_s = i, d is
+    the number of sources, and k, the largest shift whose translate of s by
+    k(n, n) lies strictly northwest of ball t, is the least of (v_t - v_s - 1)
+    // n and (both lie in one window) 0 if x_s < x_t, else -1."""
     d = len(sources)
-    src = [(sx, sy + 1, j) for j, (sx, sy) in enumerate(sources, start=first)]
+    src = [(sx, sy + 1, j) for j, (sx, sy) in enumerate(sources, start=1)]
     lab = []
     for x, v in zip(xs, vs):
         best = None
@@ -426,14 +433,14 @@ def southwest_channel(w: PartialPerm) -> Stream:
 # --- forward step -------------------------------------------------------------
 
 
-def _zigzags(xs: list, vs: list, lab: list, n: int, d: int, first: int) -> list:
-    """Group labelled balls into one zigzag per label class first..first+d-1:
-    a ball labelled first + k d + r joins class r translated by -k(n, n), as
+def _zigzags(xs: list, vs: list, lab: list, n: int, d: int) -> list:
+    """Group labelled balls into one zigzag per label class modulo d: a ball
+    labelled 1 + k d + r, 0 <= r < d, joins class r translated by -k(n, n), as
     (x - k n, v - k n, x) with its window position x last.  Each class,
     possibly empty, is sorted by x descending (values then ascend)."""
     out: list[list] = [[] for _ in range(d)]
     for x, v, label in zip(xs, vs, lab):
-        k, r = divmod(label - first, d)
+        k, r = divmod(label - 1, d)
         out[r].append((x - k * n, v - k * n, x))
     for balls in out:
         balls.sort(reverse=True)
@@ -455,7 +462,7 @@ def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
     lab = _channel_labels(xs, vs, chan, n)
     out = list(win)
     spairs = []
-    for balls in _zigzags(xs, vs, lab, n, len(chan), 0):  # each holds a channel ball
+    for balls in _zigzags(xs, vs, lab, n, len(chan)):  # each holds a channel ball
         for (x, _, p), (_, y, _) in zip(balls, balls[1:]):
             out[p - 1] = y + p - x
         x, _, p = balls[-1]
@@ -553,7 +560,7 @@ def _bk_labels(xs: list, vs: list, spairs, n: int) -> list:
     """The stabilized backward labels of the balls (xs[t], vs[t]) against the
     stream balls ``spairs``: the greatest labeling at or below the seed that
     strictly increases along strict northwest order."""
-    lab = _seed(xs, vs, spairs, n, 1)
+    lab = _seed(xs, vs, spairs, n)
     if not _settle(xs, vs, lab, n, len(spairs)):
         raise InvariantError(
             f"backward numbering did not settle: n={n}, balls={list(zip(xs, vs))}, "
@@ -594,7 +601,7 @@ def _bk_win(win: Win, n: int, spairs) -> Win:
     xs, vs = _balls(win)
     lab = _bk_labels(xs, vs, spairs, n)
     out = list(win)
-    for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs), 1)):
+    for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs))):
         y = sy
         for x, v, p in balls:
             out[p - 1] = y + p - x
@@ -671,20 +678,12 @@ def psi_triple(t: DomTriple) -> AffinePerm:
 
 
 def format_triple(t: DomTriple) -> str:
-    return json.dumps(
-        {"p": [list(r) for r in t.p.rows], "q": [list(r) for r in t.q.rows], "rho": list(t.rho)},
-        separators=(",", ":"),
-    )
+    return compact_json({"p": t.p.rows, "q": t.q.rows, "rho": t.rho})
 
 
 def parse_triple(text: str, n: Optional[int] = None) -> DomTriple:
     """Parse the JSON triple format {"p": rows, "q": rows, "rho": [ints]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bad triple text: {e}") from None
-    if not isinstance(data, dict) or set(data) != {"p", "q", "rho"}:
-        raise ValueError('triple must be an object with keys "p", "q", "rho"')
+    data = read_json(text, "triple", ("p", "q", "rho"))
     if not isinstance(data["rho"], list) or not all(_is_int(x) for x in data["rho"]):
         raise ValueError('"rho" must be a list of integers')
     return DomTriple(

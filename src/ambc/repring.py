@@ -12,13 +12,12 @@ as a verification oracle.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
-from .affine import InvariantError, _is_int, check_partition
+from .affine import InvariantError, _is_int, check_partition, compact_json, parse_ints, read_json
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -223,34 +222,18 @@ def dim_f(fw: FWeight) -> int:
 # --- text formats ---------------------------------------------------------------
 
 
-def format_gl_weight(mu: Sequence[int]) -> str:
-    return ",".join(str(x) for x in mu)
-
-
 def parse_gl_weight(text: str) -> GLWeight:
     """Parse a comma list like "2,1,0" into a dominant weight."""
-    try:
-        mu = tuple(int(p) for p in text.replace("−", "-").split(","))
-    except ValueError:
-        raise ValueError(f"bad weight {text!r}") from None
-    return check_gl_weight(mu)
+    return check_gl_weight(parse_ints(text, "weight"))
 
 
 def format_fweight(fw: FWeight) -> str:
-    return json.dumps(
-        {"shape": list(fw.shape), "blocks": [list(b) for b in fw.blocks]},
-        separators=(",", ":"),
-    )
+    return compact_json({"shape": fw.shape, "blocks": fw.blocks})
 
 
 def parse_fweight(text: str) -> FWeight:
     """Parse the JSON form {"shape": [...], "blocks": [[...], ...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bad weight text: {e}") from None
-    if not isinstance(data, dict) or set(data) != {"shape", "blocks"}:
-        raise ValueError('weight must be an object with keys "shape" and "blocks"')
+    data = read_json(text, "weight", ("shape", "blocks"))
     return fweight_from_json(data["shape"], data["blocks"])
 
 

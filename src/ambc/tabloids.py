@@ -21,12 +21,19 @@ run; the worked nine-residue golden test pins this convention.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .affine import _is_int, check_partition, conjugate_partition, residue
+from .affine import (
+    _is_int,
+    check_partition,
+    compact_json,
+    conjugate_partition,
+    parse_ints,
+    read_json,
+    residue,
+)
 
 RowVector = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -280,7 +287,7 @@ def count_tabloids(lam: Sequence[int]) -> int:
 
 def format_tabloid(t: Tabloid) -> str:
     """Nested-bracket rows, e.g. "[[2,4,6],[3,7,8],[1,5,9]]"."""
-    return json.dumps([list(r) for r in t.rows], separators=(",", ":"))
+    return compact_json(t.rows)
 
 
 def parse_tabloid(text: str, n: Optional[int] = None) -> Tabloid:
@@ -290,11 +297,7 @@ def parse_tabloid(text: str, n: Optional[int] = None) -> Tabloid:
     >>> parse_tabloid("[[2,4,6],[3,7,8],[1,5,9]]").shape()
     (3, 3, 3)
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"bad tabloid text {text!r}: {e}") from None
-    return tabloid_from_lists(data, n)
+    return tabloid_from_lists(read_json(text, "tabloid"), n)
 
 
 def tabloid_from_lists(data, n: Optional[int] = None) -> Tabloid:
@@ -308,14 +311,6 @@ def tabloid_from_lists(data, n: Optional[int] = None) -> Tabloid:
     return Tabloid(size, tuple(tuple(sorted(row)) for row in data))
 
 
-def format_shape(lam: Sequence[int]) -> str:
-    return ",".join(str(p) for p in lam)
-
-
 def parse_shape(text: str) -> tuple[int, ...]:
     """Parse a comma list like "4,3,1" into a partition."""
-    try:
-        lam = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad shape {text!r}") from None
-    return check_partition(lam)
+    return check_partition(parse_ints(text, "shape"))

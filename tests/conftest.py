@@ -51,6 +51,15 @@ def random_cell_element(rng: random.Random, lam, tabs=None, p=None, q=None, spre
     return psi(p, q, tuple(d + c for d, c in zip(diff, s))), p, q
 
 
+def small_windows(max_n=4):
+    """(window, n) of every affine window with n <= max_n and shifts in
+    {-1, 0, 1}."""
+    for n in range(1, max_n + 1):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for shifts in itertools.product((-1, 0, 1), repeat=n):
+                yield tuple(v + n * s for v, s in zip(perm, shifts)), n
+
+
 def small_partitions(max_n):
     return [(n, lam) for n in range(1, max_n + 1) for lam in partitions(n)]
 

@@ -9,10 +9,12 @@ from ambc.affine import (
     PartialPerm,
     block_coordinate,
     block_diagonal,
+    compact_json,
     compose,
     conjugate_partition,
     descents,
     descents_right,
+    format_ints,
     format_window,
     from_dominant_weight,
     identity,
@@ -21,8 +23,10 @@ from ambc.affine import (
     longest_finite,
     longest_parabolic,
     min_double_coset_rep,
+    parse_ints,
     parse_window,
     partitions,
+    read_json,
     shift,
     window_diagonals,
 )
@@ -219,3 +223,24 @@ class TestNonExtended:
 def test_partitions_enumeration():
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert conjugate_partition((4, 3, 1)) == (3, 2, 2, 1)
+
+
+class TestTextHelpers:
+    def test_ints(self):
+        assert parse_ints("2,−1,0", "weight") == (2, -1, 0)
+        assert format_ints((2, -1, 0)) == "2,-1,0"
+        with pytest.raises(ValueError, match="bad weight '2,,1'"):
+            parse_ints("2,,1", "weight")
+
+    def test_json(self):
+        assert compact_json({"a": [1, 2]}) == '{"a":[1,2]}'
+        assert read_json('{"b": 1, "a": 2}', "thing", ("a", "b")) == {"a": 2, "b": 1}
+        with pytest.raises(ValueError, match="bad thing text"):
+            read_json("{", "thing")
+        with pytest.raises(ValueError, match='thing must be an object with keys "a", "b"'):
+            read_json('{"a": 1}', "thing", ("a", "b"))
+
+    def test_total_window(self):
+        assert parse_window("[2,1]", total=True) == AffinePerm(2, (2, 1))
+        with pytest.raises(ValueError, match="window has holes: '\\[_,1\\]'"):
+            parse_window("[_,1]", total=True)

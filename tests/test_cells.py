@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from ambc import cells
 from ambc.affine import (
     AffinePerm,
+    InvariantError,
     conjugate_by_shift,
     descents_right,
     finite_permutations,
@@ -58,6 +60,17 @@ class TestCellShape:
         lab = cell_label(w, "left")
         assert lab == CellLabel("left", (3, 3, 3), golden9["q"])
         assert cell_label(w, "two_sided") == CellLabel("two_sided", (3, 3, 3))
+
+    def test_bad_kind_before_phi(self, monkeypatch):
+        # a bad kind is an input error even on a window phi cannot map
+        def failing_phi(w):
+            raise InvariantError(f"phi called on {w}")
+
+        monkeypatch.setattr(cells, "phi", failing_phi)
+        with pytest.raises(InvariantError):
+            cell_label(identity(3), "left")
+        with pytest.raises(ValueError, match="bad cell kind 'bogus'"):
+            cell_label(identity(3), "bogus")
 
     def test_celllabel_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambc.affine import parse_window, partitions
-from ambc.cli import _build_parser, main
+from ambc.cli import _COMMANDS, _build_parser, main
 from ambc.lusztig_vogan import parse_lv_pair
 from ambc.oracles import self_check
 from ambc.matrixball import DomTriple, format_triple, parse_triple, phi, psi_cache_clear
 from ambc.repring import fweight_from_rows, parse_fweight, parse_gl_weight
-from ambc.tabloids import equal_part_runs, parse_shape
+from ambc.tabloids import equal_part_runs, parse_shape, parse_tabloid
 
 from conftest import one_column_triple, stack_headroom
 
@@ -287,6 +288,85 @@ class TestSelfCheck:
         args = _build_parser().parse_args(["self-check"])
         count = len(self_check(seed=args.seed, samples=args.samples))
         assert shown == [f"{count}/{count} checks passed"]
+
+
+def readme_examples():
+    """(argv, shown lines) of each "$ ambc ..." line in the README's
+    "Command line" block; the shown lines run up to the next blank line."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ ambc "), command
+        examples.append((shlex.split(command[2:], comments=True)[1:], shown))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "argv, shown", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES]
+    )
+    def test_output_as_shown(self, capsys, argv, shown):
+        # "| tail -1" keeps the last line; a "..." line elides output lines
+        tail = argv[-3:] == ["|", "tail", "-1"]
+        if tail:
+            argv = argv[:-3]
+        assert "|" not in argv, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        lines = out.splitlines()[-1:] if tail else out.splitlines()
+        if "..." in shown:
+            k = shown.index("...")
+            head, rest = shown[:k], shown[k + 1:]
+            assert len(lines) >= len(head) + len(rest)
+            assert lines[:len(head)] == head and lines[len(lines) - len(rest):] == rest
+        else:
+            assert lines == shown
+
+    def test_every_command_shown(self):
+        assert sorted(argv[0] for argv, _ in README_EXAMPLES) == sorted(_COMMANDS)
+
+
+def lv_inverse_weight(text):
+    """``ambc lv-inverse --weight text``: its input error as a ValueError."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["lv-inverse", "--shape", "2,1", "--weight", text])
+    if code == 2:
+        raise ValueError(err.getvalue())
+    return code
+
+
+DEEP = "[" * 100_000  # nested too deep for the JSON decoder
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize(
+        "reader, text, name",
+        [
+            (parse_triple, "{p:[[1]],q:[[1]],rho:[0]}", "triple"),
+            (parse_triple, "[[[1]],[[1]],[0]]", "triple"),
+            (parse_triple, DEEP, "triple"),
+            (parse_tabloid, "[[1,2],[3]", "tabloid"),
+            (parse_tabloid, '{"rows":[[1,2],[3]]}', "tabloid"),
+            (parse_fweight, "shape=2,1 blocks=[[0,0],[1]]", "weight"),
+            (parse_fweight, '{"shape":[2,1]}', "weight"),
+            (parse_lv_pair, "", "pair"),
+            (parse_lv_pair, '{"shape":[1],"weight_blocks":[[0]],"n":1}', "pair"),
+            (lv_inverse_weight, "[[0],[1]", "weight"),
+            (lv_inverse_weight, '{"blocks":[[0],[1]]}', "weight"),
+            (lv_inverse_weight, DEEP, "weight"),
+        ],
+        ids=lambda v: "deep" if v is DEEP else None,
+    )
+    def test_bad_input_names_format(self, reader, text, name):
+        # text that is not JSON, and JSON of the wrong type
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            reader(text)
 
 
 # --- fuzz ---------------------------------------------------------------------

@@ -51,7 +51,13 @@ from ambc.tabloids import (
     tau,
 )
 
-from conftest import dominant_diffs, one_column_triple, random_cell_element, stack_headroom
+from conftest import (
+    dominant_diffs,
+    one_column_triple,
+    random_cell_element,
+    small_windows,
+    stack_headroom,
+)
 
 
 class TestStreams:
@@ -130,21 +136,16 @@ class TestChannels:
                 any(-((vs[o] - vs[t]) // n) <= (xs[t] - xs[o]) // n for o in other) for t in c
             )
 
-        wins = [
-            (n, tuple(v + n * k for v, k in zip(perm, shifts)))
-            for n in range(1, 5)
-            for perm in itertools.permutations(range(1, n + 1))
-            for shifts in itertools.product((-1, 0, 1), repeat=n)
-        ]
+        wins = list(small_windows())
         rng = random.Random(53)
         for _ in range(300):
             n = rng.randint(1, 12)
             win = _random_affine_perm(rng, n, rng.choice((1, 2, 3))).window
             win = tuple(v if rng.random() < 0.7 else None for v in win)
             if any(v is not None for v in win):
-                wins.append((n, win))
+                wins.append((win, n))
         pairs = 0
-        for n, win in wins:
+        for win, n in wins:
             xs, vs = _balls(win)
             chans = _all_channels(xs, vs, n)
             for c in chans:
@@ -244,12 +245,7 @@ class TestForwardStep:
         # seeded windows up to n = 64, and each window with holes that their
         # forward steps reach, once.
         rng = random.Random(61)
-        todo = [
-            tuple(v + n * s for v, s in zip(perm, shifts))
-            for n in range(1, 6)
-            for perm in itertools.permutations(range(1, n + 1))
-            for shifts in itertools.product((-1, 0, 1), repeat=n)
-        ]
+        todo = [win for win, _ in small_windows(5)]
         for n in (6, 8, 12, 16, 24, 32, 48, 64):
             todo += [_random_affine_perm(rng, n, spread).window for spread in (1, 2, 4, 8)]
         seen = set()

@@ -36,7 +36,7 @@ from ambc.oracles import (
 from ambc.repring import tensor_gl
 from ambc.tabloids import anticanonical_tabloid
 
-from conftest import dominant_diffs
+from conftest import dominant_diffs, small_windows
 
 
 def partial_windows():
@@ -49,15 +49,6 @@ def partial_windows():
         win = tuple(v if rng.random() < 0.7 else None for v in win)
         if any(v is not None for v in win):
             yield win, n
-
-
-def small_windows():
-    """(window, n) of every affine window with n <= 4 and shifts in
-    {-1, 0, 1}."""
-    for n in range(1, 5):
-        for perm in itertools.permutations(range(1, n + 1)):
-            for shifts in itertools.product((-1, 0, 1), repeat=n):
-                yield tuple(v + n * s for v, s in zip(perm, shifts)), n
 
 
 class TestBruteChannels:
@@ -102,7 +93,7 @@ class TestSettleByDecrement:
     @staticmethod
     def check(win, n):
         for xs, vs, spairs in backward_steps(win, n):
-            seed = _seed(xs, vs, spairs, n, 1)
+            seed = _seed(xs, vs, spairs, n)
             expected = settle_by_decrement(xs, vs, seed, n, len(spairs))
             assert _bk_labels(xs, vs, spairs, n) == expected, (win, xs, vs, spairs)
 
@@ -170,13 +161,13 @@ class TestSettleOrder:
 
     def check(self, win, n, rng):
         for xs, vs, spairs in backward_steps(win, n):
-            lab = self.shuffled_settle(xs, vs, _seed(xs, vs, spairs, n, 1), n, len(spairs), rng)
+            lab = self.shuffled_settle(xs, vs, _seed(xs, vs, spairs, n), n, len(spairs), rng)
             assert lab == _bk_labels(xs, vs, spairs, n), (win, xs, vs, spairs)
         for cur in forward_windows(win, n):
             xs, vs = _balls(cur)
             chan = _southwest_channel(xs, vs, n)
             sources = [(xs[t], vs[t]) for t in chan]
-            seed = [-label for label in _seed(xs, vs, sources, n, 2)]
+            seed = [-(label + 1) for label in _seed(xs, vs, sources, n)]
             turned = [-x for x in xs], [-v for v in vs]
             lab = self.shuffled_settle(*turned, seed, n, len(chan), rng)
             expected = _channel_labels(xs, vs, chan, n)
@@ -229,12 +220,12 @@ class TestSeed:
     source may sit on a ball, and values spread over several windows."""
 
     @staticmethod
-    def seed_by_search(xs, vs, sources, n, first):
+    def seed_by_search(xs, vs, sources, n):
         d = len(sources)
         out = []
         for x, v in zip(xs, vs):
             cands = []
-            for j, (sx, sy) in enumerate(sources, start=first):
+            for j, (sx, sy) in enumerate(sources, start=1):
                 k = -(abs(x - sx) + abs(v - sy)) // n - 2
                 assert sx + k * n < x and sy + k * n < v
                 while sx + (k + 1) * n < x and sy + (k + 1) * n < v:
@@ -260,9 +251,8 @@ class TestSeed:
             if rng.random() < 0.5:  # the channel numbering's seed: sources on balls
                 sources = rng.sample(balls, rng.randint(1, len(balls)))
             xs, vs = [x for x, _ in balls], [v for _, v in balls]
-            first = rng.randint(-2, 2)
-            expected = self.seed_by_search(xs, vs, sources, n, first)
-            assert _seed(xs, vs, sources, n, first) == expected, (n, balls, sources, first)
+            expected = self.seed_by_search(xs, vs, sources, n)
+            assert _seed(xs, vs, sources, n) == expected, (n, balls, sources)
 
 
 class TestZigzagOrder:
@@ -271,24 +261,24 @@ class TestZigzagOrder:
 
     @staticmethod
     def labelled_steps(win, n):
-        """(xs, vs, labels, d, first) of every forward and backward step of
-        phi(w) and psi(phi(w))."""
+        """(xs, vs, labels, d) of every forward and backward step of phi(w)
+        and psi(phi(w))."""
         for cur in forward_windows(win, n):
             xs, vs = _balls(cur)
             chan = _southwest_channel(xs, vs, n)
-            yield xs, vs, _channel_labels(xs, vs, chan, n), len(chan), 0
+            yield xs, vs, _channel_labels(xs, vs, chan, n), len(chan)
         for xs, vs, spairs in backward_steps(win, n):
-            yield xs, vs, _bk_labels(xs, vs, spairs, n), len(spairs), 1
+            yield xs, vs, _bk_labels(xs, vs, spairs, n), len(spairs)
 
     def test_permuted_balls(self):
         rng = random.Random(52)
         for win, n in small_windows():
-            for xs, vs, lab, d, first in self.labelled_steps(win, n):
+            for xs, vs, lab, d in self.labelled_steps(win, n):
                 order = list(range(len(xs)))
                 rng.shuffle(order)
                 permuted = ([seq[t] for t in order] for seq in (xs, vs, lab))
-                got = _zigzags(*permuted, n, d, first)
-                assert got == _zigzags(xs, vs, lab, n, d, first), (win, xs, vs, lab)
+                got = _zigzags(*permuted, n, d)
+                assert got == _zigzags(xs, vs, lab, n, d), (win, xs, vs, lab)
 
 
 class TestChainRuns:
@@ -380,7 +370,7 @@ class TestForwardStepBookkeeping:
             xs, vs = _balls(w.window)
             chan = _southwest_channel(xs, vs, n)
             lab = _channel_labels(xs, vs, chan, n)
-            for balls in _zigzags(xs, vs, lab, n, len(chan), 0):
+            for balls in _zigzags(xs, vs, lab, n, len(chan)):
                 inner = [(x, y) for x, y, _ in balls]
                 outer = [(x, y) for (x, _, _), (_, y, _) in zip(balls, balls[1:])]
                 stream_ball = (balls[-1][0], balls[0][1])

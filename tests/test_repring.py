@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ambc.affine import format_ints
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
@@ -10,7 +11,6 @@ from ambc.repring import (
     dim_f,
     dim_gl,
     format_fweight,
-    format_gl_weight,
     fweight_from_rows,
     is_determinantal,
     parse_fweight,
@@ -231,7 +231,7 @@ class TestDeterminantal:
 class TestWeightText:
     def test_roundtrip(self):
         for text in ["2,1,0", "0", "-3,-3", "5,1,1,1,-2,-2,-2"]:
-            assert format_gl_weight(parse_gl_weight(text)) == text
+            assert format_ints(parse_gl_weight(text)) == text
         with pytest.raises(ValueError):
             parse_gl_weight("1,2")
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambc.affine import partitions
+from ambc.affine import format_ints, partitions
 from ambc.cells import star_right, star_tabloid
 from ambc.matrixball import phi, psi
 from ambc.tabloids import (
@@ -16,7 +16,6 @@ from ambc.tabloids import (
     count_tabloids,
     delta_vec,
     enumerate_tabloids,
-    format_shape,
     format_tabloid,
     iota_vec,
     is_dominant_wrt,
@@ -55,7 +54,7 @@ class TestTabloidBasics:
         assert text == "[[2,4,6],[3,7,8],[1,5,9]]"
         assert parse_tabloid(text) == golden9["p"]
         assert parse_shape("4,3,1") == (4, 3, 1)
-        assert format_shape((4, 3, 1)) == "4,3,1"
+        assert format_ints((4, 3, 1)) == "4,3,1"
         with pytest.raises(ValueError):
             parse_shape("1,3")
         with pytest.raises(ValueError):
