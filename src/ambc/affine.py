@@ -325,10 +325,22 @@ def compact_json(data) -> str:
     return json.dumps(data, separators=(",", ":"))
 
 
-def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """Read a comma list of integers like "2,-1,0" ("−" is a minus sign)."""
+def parse_int(text: str, what: str) -> int:
+    """Read one integer: an optional minus sign ("-" or "−") and ASCII digits,
+    with whitespace around.  Anything else, digits too many for ``int``
+    included, is a ValueError naming the ``what``."""
     try:
-        return tuple(int(p) for p in text.replace("−", "-").split(","))
+        if re.fullmatch(r"\s*[-−]?[0-9]+\s*", text):
+            return int(text.replace("−", "-"))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValueError(f"bad {what} {text!r}")
+
+
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Read a comma list of integers like "2,-1,0"."""
+    try:
+        return tuple(parse_int(p, what) for p in text.split(","))
     except ValueError:
         raise ValueError(f"bad {what} {text!r}") from None
 
@@ -362,15 +374,7 @@ def parse_window(text: str, total: bool = False) -> PartialPerm:
     if not m:
         raise ValueError(f"window must look like [a1,a2,...]: {text!r}")
     parts = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
-    win: list[Optional[int]] = []
-    for p in parts:
-        if p in _HOLES:
-            win.append(None)
-        else:
-            try:
-                win.append(int(p.replace("−", "-")))
-            except ValueError:
-                raise ValueError(f"bad window entry {p!r} in {text!r}") from None
+    win = [None if p in _HOLES else parse_int(p, "window entry") for p in parts]
     if not win:
         raise ValueError(f"empty window: {text!r}")
     if all(v is not None for v in win):

@@ -13,12 +13,10 @@ carried back through upsilon_inverse.
 """
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
-from .affine import AffinePerm, compact_json, format_window, parse_window
+from .affine import AffinePerm, compact_json, format_window, is_nonextended, parse_int, parse_window
 from .cells import distinguished_involutions, upsilon, upsilon_inverse
-from .matrixball import phi, psi
 from .repring import tensor_f
 
 JElement = dict  # AffinePerm -> nonzero integer coefficient
@@ -70,24 +68,22 @@ def unit(lam: Sequence[int], n: int) -> JElement:
     return {w: 1 for w in distinguished_involutions(lam, n)}
 
 
-def pgl_member(w: AffinePerm) -> bool:
-    """True iff the altitude vector of w sums to zero, i.e. w lies in the
-    non-extended affine symmetric group."""
-    return sum(phi(w).rho) == 0
+# The altitude vector of phi(w) sums to (sum(w.window) - n(n+1)/2) / n, so
+# the window sum decides both quotients without the forward map.
+pgl_member = is_nonextended
 
 
 def sl_reduce(a: JElement) -> JElement:
     """
     Rewrite each basis symbol to the canonical representative of its class
     modulo the central shift omega^n (which adds the shape to the altitude
-    vector); the representative has altitude sum in [0, n).
+    vector and n^2 to the window sum); the representative has altitude sum
+    in [0, n).
     """
     out: JElement = {}
     for w, c in a.items():
-        t = phi(w)
-        lam = t.shape()
-        k = sum(t.rho) // w.n
-        rep = psi(t.p, t.q, tuple(r - k * p for r, p in zip(t.rho, lam))) if k else w
+        k = (sum(w.window) - w.n * (w.n + 1) // 2) // w.n**2
+        rep = AffinePerm(w.n, tuple(v - k * w.n for v in w.window)) if k else w
         out[rep] = out.get(rep, 0) + c
     return {w: c for w, c in out.items() if c}
 
@@ -108,9 +104,6 @@ def jelement_to_json(a: JElement) -> str:
     return compact_json([{"coef": c, "window": w.window} for w, c in terms])
 
 
-_TERM_RE = re.compile(r"^\s*(-?\d+)\s*\*\s*(\[[^\]]*\])\s*$")
-
-
 def parse_jelement(text: str) -> JElement:
     """Parse the formal-sum format back into a coefficient map."""
     text = text.strip()
@@ -118,10 +111,10 @@ def parse_jelement(text: str) -> JElement:
         return {}
     out: JElement = {}
     for part in text.split(" + "):
-        m = _TERM_RE.match(part)
-        if not m:
+        coef, star, window = part.partition("*")
+        if not star:
             raise ValueError(f"bad term {part!r}")
-        w = parse_window(m.group(2), total=True)
-        c = int(m.group(1))
+        c = parse_int(coef, "coefficient")
+        w = parse_window(window, total=True)
         out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}

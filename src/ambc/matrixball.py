@@ -539,7 +539,7 @@ def _phi_win(win: Win, n: int) -> tuple[Rows, Rows, tuple[int, ...]]:
 def phi(w: AffinePerm) -> DomTriple:
     """
     The forward map w -> (P, Q, rho): iterate forward steps, reading off the
-    stream domains (rows of P), codomains (rows of Q) and altitudes (rho).
+    stream codomains (rows of P), domains (rows of Q) and altitudes (rho).
 
     >>> phi(AffinePerm(3, (1, 2, 3))).rho
     (0,)

@@ -23,6 +23,7 @@ from ambc.affine import (
     longest_finite,
     longest_parabolic,
     min_double_coset_rep,
+    parse_int,
     parse_ints,
     parse_window,
     partitions,
@@ -231,6 +232,9 @@ class TestTextHelpers:
         assert format_ints((2, -1, 0)) == "2,-1,0"
         with pytest.raises(ValueError, match="bad weight '2,,1'"):
             parse_ints("2,,1", "weight")
+        assert parse_int(" −12 ", "entry") == -12
+        with pytest.raises(ValueError, match="bad entry '1+'"):
+            parse_int("1" * 5000, "entry")  # more digits than int() converts
 
     def test_json(self):
         assert compact_json({"a": [1, 2]}) == '{"a":[1,2]}'

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambc.affine import parse_window, partitions
+from ambc.affine import parse_ints, parse_window, partitions
 from ambc.cli import _COMMANDS, _build_parser, main
+from ambc.jring import parse_jelement
 from ambc.lusztig_vogan import parse_lv_pair
 from ambc.oracles import self_check
 from ambc.matrixball import DomTriple, format_triple, parse_triple, phi, psi_cache_clear
@@ -331,14 +332,19 @@ class TestReadmeExamples:
         assert sorted(argv[0] for argv, _ in README_EXAMPLES) == sorted(_COMMANDS)
 
 
-def lv_inverse_weight(text):
-    """``ambc lv-inverse --weight text``: its input error as a ValueError."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main(["lv-inverse", "--shape", "2,1", "--weight", text])
+def cli_output(*argv):
+    """The output of ``ambc argv``; its input error (exit 2) as a ValueError."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
     if code == 2:
         raise ValueError(err.getvalue())
-    return code
+    return code, out.getvalue()
+
+
+def lv_inverse_weight(text):
+    """``ambc lv-inverse --weight text``: its input error as a ValueError."""
+    return cli_output("lv-inverse", "--shape", "2,1", "--weight", text)
 
 
 DEEP = "[" * 100_000  # nested too deep for the JSON decoder
@@ -367,6 +373,40 @@ class TestJsonReaders:
         # text that is not JSON, and JSON of the wrong type
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             reader(text)
+
+
+def outcome(reader, text):
+    try:
+        return reader(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+class TestIntegerReaders:
+    @pytest.mark.parametrize(
+        "reader, form, name",
+        [
+            pytest.param(parse_window, "[{},2]", "window", id="parse_window"),
+            pytest.param(lambda t: parse_ints(t, "shape"), "2,{}", "shape", id="shape"),
+            pytest.param(lambda t: parse_ints(t, "weight"), "{},0", "weight", id="weight"),
+            pytest.param(parse_jelement, "{}*[2,1]", "coefficient", id="jelement-coef"),
+            pytest.param(parse_jelement, "1*[{},2]", "window", id="jelement-window"),
+            pytest.param(lambda t: cli_output("ambc-forward", t), "[{},2]", "window",
+                         id="ambc-forward"),
+            pytest.param(lambda t: cli_output("tensor", "--m", "2", t, "0,0"), "0,{}", "weight",
+                         id="tensor"),
+            pytest.param(lambda t: cli_output("lv", t), "0,{}", "weight", id="lv"),
+            pytest.param(lambda t: cli_output("involutions", "--shape", t), "{}", "shape",
+                         id="involutions"),
+        ],
+    )
+    def test_ascii_digits_after_an_optional_minus(self, reader, form, name):
+        # no format writes underscores, other digits or points, so no reader
+        # takes them; "−" reads as "-" everywhere
+        for token in ("1_0", "٢", "1.0"):
+            with pytest.raises(ValueError, match=rf"\bbad {name}\b"):
+                reader(form.format(token))
+        assert outcome(reader, form.format("−1")) == outcome(reader, form.format("-1"))
 
 
 # --- fuzz ---------------------------------------------------------------------

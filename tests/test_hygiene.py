@@ -1,9 +1,9 @@
 """Source hygiene: every imported name in the library and the tests is read,
 every module-level name of the library is read somewhere (a public one may
 instead be exported by the package), the library and the tests import only at
-module level (so their import graphs are the ones their headers show), and the
-library checks its invariants without ``assert`` (which ``python -O``
-strips)."""
+module level (so their import graphs are the ones their headers show), only
+the text layer of the library imports ``json`` or ``re``, and the library
+checks its invariants without ``assert`` (which ``python -O`` strips)."""
 import ast
 from pathlib import Path
 
@@ -87,6 +87,36 @@ def test_no_imports_inside_library_functions():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in LIBRARY + TESTS
         for line, name in nested_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, found
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level names of the absolute imports anywhere in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scanner_finds_imported_modules():
+    tree = ast.parse(
+        "import os.path, json\nfrom re import compile\nfrom . import a\nfrom .b import c\n"
+    )
+    assert imported_modules(tree) == {"os", "json", "re"}
+
+
+def test_text_parsing_only_in_affine_and_cli():
+    # affine holds the text formats and cli its command line; every other
+    # module reads and writes text through affine's helpers
+    found = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in LIBRARY
+        if path.stem not in ("affine", "cli")
+        for name in sorted(imported_modules(ast.parse(path.read_text())) & {"json", "re"})
     ]
     assert not found, found
 

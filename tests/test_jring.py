@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -336,7 +337,42 @@ class TestQuotients:
 
         for _ in range(50):
             w = _random_affine_perm(rng, rng.randint(1, 7))
-            assert pgl_member(w) == is_nonextended(w)
+            assert (sum(phi(w).rho) == 0) == is_nonextended(w)
+
+    def test_sl_reduce_matches_ambc_form(self):
+        # the class representative is psi(P, Q, rho - k lambda) with
+        # k = sum(rho) // n; each element holds a symbol, a central translate
+        # of it (so their coefficients merge, and a quarter of the time
+        # cancel) and one more symbol
+        rng = random.Random(34)
+        for _ in range(1000):
+            n = rng.randint(1, 9)
+            w = _random_affine_perm(rng, n, rng.randint(1, 8))
+            a = {w: rng.choice((-2, -1, 1, 2))}
+            a[compose(shift(n, rng.choice((-2, -1, 1, 2)) * n), w)] = rng.choice((-1, 1))
+            a[_random_affine_perm(rng, n, rng.randint(1, 8))] = 3
+            assert sl_reduce(a) == sl_reduce_by_psi(a), a
+
+    def test_quotients_skip_the_forward_map(self):
+        # phi of this window exceeds the channel enumeration cap; the window
+        # sum alone answers both quotients
+        w = AffinePerm(38, tuple(i + 1 if i % 2 else i - 1 for i in range(1, 39)))
+        start = time.perf_counter()
+        assert pgl_member(w)
+        assert sl_reduce({w: 1}) == {w: 1}
+        assert time.perf_counter() - start < 1.0
+
+
+def sl_reduce_by_psi(a):
+    """sl_reduce through the AMBC: each symbol w with phi(w) = (P, Q, rho)
+    goes to psi(P, Q, rho - k lambda), k = sum(rho) // n."""
+    out = {}
+    for w, c in a.items():
+        t = phi(w)
+        k = sum(t.rho) // w.n
+        rep = psi(t.p, t.q, tuple(r - k * part for r, part in zip(t.rho, t.shape())))
+        out[rep] = out.get(rep, 0) + c
+    return {w: c for w, c in out.items() if c}
 
 
 class TestTextFormats:
@@ -351,6 +387,7 @@ class TestTextFormats:
     def test_negative_coefficients(self):
         a = {identity(3): -2, shift(3): 1}
         assert parse_jelement(format_jelement(a)) == a
+        assert parse_jelement("−1*[2,1]") == {AffinePerm(2, (2, 1)): -1}
 
     def test_json_form(self):
         prod = t_multiply(parse_window(W9), parse_window(W9P))
