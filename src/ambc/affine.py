@@ -217,6 +217,20 @@ def check_partition(lam: Sequence[int], n: Optional[int] = None) -> tuple[int, .
     return lam
 
 
+def check_gl_weight(mu: Sequence[int], m: Optional[int] = None) -> tuple[int, ...]:
+    """Validate a weakly decreasing integer vector, optionally of length m."""
+    mu = tuple(mu)
+    if not mu:
+        raise ValueError("empty weight")
+    if not all(_is_int(x) for x in mu):
+        raise ValueError(f"weight entries must be integers: {mu}")
+    if any(a < b for a, b in zip(mu, mu[1:])):
+        raise ValueError(f"weight is not weakly decreasing: {mu}")
+    if m is not None and len(mu) != m:
+        raise ValueError(f"weight length {len(mu)} != {m}")
+    return mu
+
+
 def conjugate_partition(lam: Sequence[int]) -> tuple[int, ...]:
     """
     The transposed partition.
@@ -266,12 +280,8 @@ def from_dominant_weight(mu: Sequence[int]) -> AffinePerm:
     >>> from_dominant_weight((0, 0, 0)) == identity(3)
     True
     """
-    mu = tuple(mu)
+    mu = check_gl_weight(mu)
     n = len(mu)
-    if n == 0:
-        raise ValueError("empty weight")
-    if any(a < b for a, b in zip(mu, mu[1:])):
-        raise ValueError(f"weight is not weakly decreasing: {mu}")
     return AffinePerm(n, tuple(n * m + i for i, m in enumerate(mu, start=1)))
 
 
@@ -351,7 +361,7 @@ def format_ints(xs: Iterable[int]) -> str:
 
 
 _WINDOW_RE = re.compile(r"^\[(.*)\]$", re.S)
-_HOLES = {"", "_", "∅"}
+_HOLES = {"_", "∅"}
 
 
 def format_window(w: PartialPerm) -> str:

@@ -12,7 +12,15 @@ import re
 import sys
 from typing import Optional
 
-from .affine import AffinePerm, InvariantError, format_ints, format_window, parse_window, read_json
+from .affine import (
+    AffinePerm,
+    InvariantError,
+    format_ints,
+    format_window,
+    parse_ints,
+    parse_window,
+    read_json,
+)
 from .cells import distinguished_involutions
 from .jring import format_jelement, jelement_to_json, t_multiply
 from .lusztig_vogan import format_lv_pair, theta1, theta1_inverse
@@ -108,15 +116,13 @@ def _cmd_involutions(args) -> int:
 def _cmd_jmult(args) -> int:
     u = parse_window(args.u_window, total=True)
     v = parse_window(args.v_window, total=True)
-    if u.n != v.n:
-        raise ValueError(f"window periods differ: {u.n} vs {v.n}")
     prod = t_multiply(u, v)
     print(jelement_to_json(prod) if args.format == "json" else format_jelement(prod))
     return 0
 
 
 def _cmd_lv(args) -> int:
-    pair = theta1(parse_gl_weight(args.mu))
+    pair = theta1(parse_ints(args.mu, "weight"))
     if args.format == "json":
         print(format_lv_pair(pair))
     else:

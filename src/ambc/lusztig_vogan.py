@@ -31,7 +31,7 @@ from .affine import (
     window_diagonals,
 )
 from .cells import upsilon, upsilon_inverse
-from .repring import FWeight, check_gl_weight, fweight_from_json, zero_fweight
+from .repring import FWeight, fweight_from_json, zero_fweight
 from .tabloids import canonical_tabloid, equal_part_runs
 
 
@@ -56,7 +56,6 @@ def theta1(mu: Sequence[int]) -> LVPair:
     >>> theta1((0, 0, 0)) == LVPair((3,), FWeight((3,), ((0,),)))
     True
     """
-    mu = check_gl_weight(mu)
     p, q, weight = upsilon(min_double_coset_rep(from_dominant_weight(mu)))
     can = canonical_tabloid(p.shape())
     if p != can or q != can:
@@ -74,10 +73,8 @@ def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:
     >>> theta1_inverse((3,), FWeight((3,), ((2,),)))
     (1, 1, 0)
     """
-    lam = check_partition(lam)
-    if weight.shape != lam:
-        raise ValueError(f"weight shape {weight.shape} != {lam}")
-    return window_diagonals(lv_window(lam, weight))
+    pair = LVPair(lam, weight)
+    return window_diagonals(lv_window(pair.shape, weight))
 
 
 def lv_window(lam: Sequence[int], weight: FWeight) -> AffinePerm:
@@ -94,7 +91,6 @@ def w_tableau_zero(lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     >>> w_tableau_zero((3, 3, 2, 2, 1))
     ((4, 3, 1), (2, 1, -1), (0, -1), (-2, -3), (-4,))
     """
-    lam = check_partition(lam)
     conj = conjugate_partition(lam)
     return tuple(
         tuple(conj[j] - 1 - 2 * i for j in range(lam[i])) for i in range(len(lam))
@@ -121,7 +117,6 @@ def w_tableau(lam: Sequence[int], r: int, s: int) -> tuple[tuple[int, ...], ...]
     >>> w_tableau((3, 3, 2, 2, 1), 2, 5)[0]
     (6, 6, 1)
     """
-    lam = check_partition(lam)
     if r not in lam:
         raise ValueError(f"{r} is not a part of {lam}")
     if s < 0:
@@ -149,7 +144,6 @@ def mu_lambda(lam: Sequence[int], r: int, s: int) -> tuple[int, ...]:
 def rho_lambda(lam: Sequence[int], r: int, s: int) -> FWeight:
     """The generator weight: (s, 0, ..., 0) on the factor of part size r,
     zero elsewhere."""
-    lam = check_partition(lam)
     if r not in lam:
         raise ValueError(f"{r} is not a part of {lam}")
     blocks = []

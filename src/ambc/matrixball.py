@@ -638,11 +638,7 @@ def _psi_step(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
 
 
 def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:
-    sizes = tuple(len(r) for r in p_rows)
-    if sizes != tuple(len(r) for r in q_rows) or len(rho) != len(sizes):
-        raise ValueError("triple components must share one shape")
-    if any(a < b for a, b in zip(sizes, sizes[1:])) or (sizes and sizes[-1] < 1):
-        raise ValueError(f"row sizes must be weakly decreasing: {sizes}")
+    # trusted: the rows of two tabloids of one shape and one altitude per row
     win = (None,) * n
     for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(tuple(rho))):
         win = _psi_step(win, tuple(q_row), tuple(p_row), alt, n)
@@ -659,13 +655,14 @@ def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:
     >>> psi(t, t, (1,)).window
     (2, 3, 4)
     """
-    if p.n != q.n or p.shape() != q.shape():
-        raise ValueError("P and Q must be tabloids of one shape")
-    win = _psi_rows(p.rows, q.rows, tuple(rho), p.n)
+    rho = tuple(rho)
+    if p.shape() != q.shape() or len(rho) != len(p.rows):
+        raise ValueError("P, Q and rho must share one shape")
+    win = _psi_rows(p.rows, q.rows, rho, p.n)
     if any(v is None for v in win):
         raise InvariantError(
             f"backward map produced holes from a full tabloid pair: n={p.n}, "
-            f"P={p.rows}, Q={q.rows}, rho={tuple(rho)}"
+            f"P={p.rows}, Q={q.rows}, rho={rho}"
         )
     return AffinePerm(p.n, win)
 

@@ -15,27 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .affine import InvariantError, _is_int, check_partition, compact_json, parse_ints, read_json
+from .affine import InvariantError, check_gl_weight, check_partition, compact_json, parse_ints, read_json
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
 VirtualChar = dict  # weight -> nonzero integer multiplicity
-
-
-def check_gl_weight(mu: Sequence[int], m: Optional[int] = None) -> GLWeight:
-    """Validate a weakly decreasing integer vector."""
-    mu = tuple(mu)
-    if not mu:
-        raise ValueError("empty weight")
-    if not all(_is_int(x) for x in mu):
-        raise ValueError(f"weight entries must be integers: {mu}")
-    if any(a < b for a, b in zip(mu, mu[1:])):
-        raise ValueError(f"weight is not weakly decreasing: {mu}")
-    if m is not None and len(mu) != m:
-        raise ValueError(f"weight length {len(mu)} != {m}")
-    return mu
 
 
 @dataclass(frozen=True)
@@ -75,7 +61,6 @@ class FWeight:
 
 def fweight_from_rows(lam: Sequence[int], vec: Sequence[int]) -> FWeight:
     """Cut a row vector (weakly decreasing on each equal-part run) into blocks."""
-    lam = check_partition(lam)
     vec = tuple(vec)
     if len(vec) != len(lam):
         raise ValueError(f"vector length {len(vec)} != rows {len(lam)}")
@@ -83,7 +68,6 @@ def fweight_from_rows(lam: Sequence[int], vec: Sequence[int]) -> FWeight:
 
 
 def zero_fweight(lam: Sequence[int]) -> FWeight:
-    lam = check_partition(lam)
     return FWeight(lam, tuple((0,) * (b - a) for a, b in equal_part_runs(lam)))
 
 

@@ -172,12 +172,10 @@ def is_dominant_wrt(rho: Sequence[int], p: Tabloid, q: Tabloid) -> bool:
     True iff rho - s_{P,Q} is weakly increasing inside every equal-part run,
     i.e. the triple (P, Q, rho) lies in the image of the forward map.
     """
-    if p.shape() != q.shape():
-        raise ValueError(f"shape mismatch: {p.shape()} vs {q.shape()}")
-    rho = tuple(rho)
-    if len(rho) != len(p.rows):
-        raise ValueError(f"rho length {len(rho)} != number of rows {len(p.rows)}")
     s = offset_constants(p, q)
+    rho = tuple(rho)
+    if len(rho) != len(s):
+        raise ValueError(f"rho length {len(rho)} != number of rows {len(s)}")
     diff = [r - c for r, c in zip(rho, s)]
     return all(
         diff[i] <= diff[i + 1] for a, b in equal_part_runs(p.shape()) for i in range(a, b - 1)

@@ -54,6 +54,8 @@ class TestWindowBasics:
     def test_evaluation_periodicity(self):
         w = AffinePerm(3, (5, -2, 3))
         assert w(1) == 5 and w(4) == 8 and w(-2) == 2
+        w = PartialPerm(3, (5, None, 1))
+        assert w(1) == 5 and w(2) is None and w(4) == 8 and w(-2) == 2
 
     def test_parse_format_roundtrip(self):
         for text in ["[3,7,14,2,18,4,19,8,6]", "[-1,3,10,-5,14,-3,18,7,2]", "[_,5,1]"]:
@@ -67,6 +69,10 @@ class TestWindowBasics:
     def test_parse_rejects_garbage(self):
         for text in ["", "[]", "1,2,3", "[1,x]", "[1,1,2]"]:
             with pytest.raises(ValueError):
+                parse_window(text)
+        # only "_" and "∅" are holes
+        for text in ["[1,,2]", "[,]", "[1, ,2]"]:
+            with pytest.raises(ValueError, match="bad window entry ''"):
                 parse_window(text)
 
 
@@ -159,8 +165,9 @@ class TestBallBookkeeping:
         assert from_dominant_weight((5, 2, 1, 0, -1, -2, -5)) == parse_window(
             "[36,16,10,4,-2,-8,-28]"
         )
-        with pytest.raises(ValueError):
-            from_dominant_weight((0, 1))
+        for bad in [(), (0, 1), (True, 0)]:
+            with pytest.raises(ValueError):
+                from_dominant_weight(bad)
 
     def test_weight_recovered_from_diagonals(self):
         mu = (4, 2, 2, 0, -1, -3)

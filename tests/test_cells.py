@@ -60,6 +60,7 @@ class TestCellShape:
         lab = cell_label(w, "left")
         assert lab == CellLabel("left", (3, 3, 3), golden9["q"])
         assert cell_label(w, "two_sided") == CellLabel("two_sided", (3, 3, 3))
+        assert cell_label(w, "right") == CellLabel("right", (3, 3, 3), golden9["p"])
 
     def test_bad_kind_before_phi(self, monkeypatch):
         # a bad kind is an input error even on a window phi cannot map

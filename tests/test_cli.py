@@ -144,7 +144,7 @@ class TestJMult:
 
     def test_period_mismatch(self, capsys):
         code, _, err = run(capsys, "jmult", "[1,2]", "[1,2,3]")
-        assert code == 2
+        assert code == 2 and "period mismatch: 2 != 3" in err
 
     def test_json_reparses(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the library and the tests is read,
 every module-level name of the library is read somewhere (a public one may
-instead be exported by the package), the library and the tests import only at
+instead be exported by the package), every library name the benchmark harness
+imports exists, the library and the tests import only at
 module level (so their import graphs are the ones their headers show), only
 the text layer of the library imports ``json`` or ``re``, and the library
 checks its invariants without ``assert`` (which ``python -O`` strips)."""
@@ -221,5 +222,37 @@ def test_no_dead_public_names():
         for path in LIBRARY
         for line, name in public_definitions(trees[path])
         if name not in read
+    ]
+    assert not found, found
+
+
+def library_imports(tree: ast.AST) -> list[tuple[int, str, str]]:
+    """(line, module, name) of every name a ``from ambc... import`` binds."""
+    return [
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "ambc"
+        for alias in node.names
+    ]
+
+
+def test_scanner_finds_library_imports():
+    tree = ast.parse(
+        "import ambc\nfrom ambc import (\n    a,\n    b,\n)\nfrom ambc.m import c as d\n"
+        "from ambcx import e\nfrom . import f\n"
+    )
+    assert library_imports(tree) == [(2, "ambc", "a"), (2, "ambc", "b"), (6, "ambc.m", "c")]
+
+
+def test_bench_imports_resolve():
+    # bench/ is not run by these tests, so a library name its harness
+    # imports that a change drops or renames would crash it unseen
+    assert BENCH
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {module}.{name}"
+        for path in BENCH
+        for line, module, name in library_imports(ast.parse(path.read_text(), str(path)))
+        if not hasattr(__import__(module, fromlist=[name]), name)
     ]
     assert not found, found

@@ -44,6 +44,14 @@ class TestWorkedExamples:
         for n in (1, 4, 6):
             assert theta1((0,) * n) == LVPair((n,), FWeight((n,), ((0,),)))
 
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            theta1((0, 1))
+        with pytest.raises(ValueError, match=r"weight shape \(2, 1\) != \(3,\)"):
+            theta1_inverse((3,), zero_fweight((2, 1)))
+        with pytest.raises(ValueError, match="not a partition"):
+            theta1_inverse((1, 2), zero_fweight((2, 1)))
+
     def test_single_row_shift(self):
         # for the one-row shape the window is a shift power, so the weight
         # collects s+1..s+n block indices
@@ -103,6 +111,8 @@ class TestTableaux:
             w_tableau((3, 3, 1), 2, 1)  # 2 is not a part
         with pytest.raises(ValueError):
             w_tableau((3, 3, 1), 3, -1)
+        with pytest.raises(ValueError, match="not a partition"):
+            w_tableau((1, 3), 3, 1)
 
 
 class TestGeneratorWeights:
@@ -113,6 +123,8 @@ class TestGeneratorWeights:
         assert fw.blocks == ((0, 0), (4,))
         with pytest.raises(ValueError):
             rho_lambda((3, 3, 1), 2, 1)
+        with pytest.raises(ValueError, match="not a partition"):
+            rho_lambda((1, 3), 3, 1)
 
     def test_worked_cross_checks(self):
         for lam, r, s in [((3, 3, 1), 3, 2), ((4, 4, 2), 4, 3), ((3, 3, 2, 2, 1), 2, 5)]:

@@ -162,9 +162,14 @@ class TestFWeight:
             FWeight((3, 3, 1), ((1,), (3,)))  # block size mismatch
         with pytest.raises(ValueError):
             fweight_from_rows((2, 2), (0, 1))
+        with pytest.raises(ValueError, match="not a partition"):
+            fweight_from_rows((1, 2), (0, 0))
 
     def test_zero(self):
         assert zero_fweight((2, 2, 1)).flatten() == (0, 0, 0)
+        for bad in [(), (1, 2), (2, 0)]:
+            with pytest.raises(ValueError, match="not a partition"):
+                zero_fweight(bad)
 
     def test_text_roundtrip(self):
         fw = FWeight((2, 2, 1, 1, 1), ((0, 0), (1, 0, -1)))

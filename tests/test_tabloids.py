@@ -183,6 +183,10 @@ class TestDominance:
         t = canonical_tabloid((3, 3, 3))
         assert not is_dominant_wrt((1, 0, 0), t, t)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            is_dominant_wrt((0, 0), canonical_tabloid((2, 1)), canonical_tabloid((1, 1, 1)))
+
 
 class TestCanonicalTabloids:
     def test_goldens(self):
