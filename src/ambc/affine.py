@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 Ball = tuple[int, int]
@@ -36,6 +36,14 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
+
+
+def _trusted(cls, *values):
+    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
+    checks, for values the caller has just checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip((field.name for field in fields(cls)), values))
+    return obj
 
 
 def residue(i: int, n: int) -> int:

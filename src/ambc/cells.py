@@ -17,17 +17,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .affine import AffinePerm, inverse, residue
-from .matrixball import _phi_win, _psi_rows, phi, psi
-from .repring import FWeight, fweight_from_rows
+from .affine import AffinePerm, _trusted, inverse, residue
+from .matrixball import _forward_blocks, _phi_win, _psi_perm, _psi_rows, phi, psi
+from .repring import FWeight
 from .tabloids import (
+    Blocks,
     Rows,
+    RowVector,
     Tabloid,
     anticanonical_tabloid,
     enumerate_tabloids,
     equal_part_runs,
     offset_constants,
-    rev_lambda,
 )
 
 
@@ -196,11 +197,9 @@ def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:
     label Q(w), and the representation-ring entry, i.e. the block reversal of
     the altitude vector after subtracting the offset constants.
     """
-    t = phi(w)
-    lam = t.shape()
-    s = offset_constants(t.p, t.q)
-    rho = tuple(r - c for r, c in zip(t.rho, s))
-    return t.p, t.q, fweight_from_rows(lam, rev_lambda(lam, rho))
+    p, q, blocks = _coordinates(w)
+    lam = tuple(map(len, p))
+    return _trusted(Tabloid, w.n, p), _trusted(Tabloid, w.n, q), _trusted(FWeight, lam, blocks)
 
 
 def upsilon_inverse(p: Tabloid, q: Tabloid, weight: FWeight) -> AffinePerm:
@@ -213,8 +212,25 @@ def upsilon_inverse(p: Tabloid, q: Tabloid, weight: FWeight) -> AffinePerm:
     >>> upsilon_inverse(*upsilon(w)) == w
     True
     """
-    rho = rev_lambda(p.shape(), weight.flatten())
-    return psi(p, q, tuple(c + r for c, r in zip(offset_constants(p, q), rho)))
+    s = offset_constants(p, q)
+    if weight.shape != p.shape():
+        raise ValueError(f"weight shape {weight.shape} != tabloid shape {p.shape()}")
+    return _from_coordinates(p.rows, q.rows, s, weight.blocks, p.n)
+
+
+def _coordinates(w: AffinePerm) -> tuple[Rows, Rows, Blocks]:
+    """Upsilon(w) as the rows of P and Q and the weight blocks: one forward
+    map and one offset computation, checked once."""
+    p_rows, q_rows, rho = _phi_win(w.window, w.n)
+    return p_rows, q_rows, _forward_blocks(w, p_rows, q_rows, rho)
+
+
+def _from_coordinates(p_rows: Rows, q_rows: Rows, s: RowVector, blocks: Blocks, n: int) -> AffinePerm:
+    """Upsilon^-1 on rows: the backward image of the altitudes s plus the
+    block reversal of the weight, for trusted rows of one shape, offset
+    constants s = s_{P,Q} and dominant blocks on their equal-part runs."""
+    rev = (x for block in blocks for x in reversed(block))
+    return _psi_perm(p_rows, q_rows, tuple(c + x for c, x in zip(s, rev)), n)
 
 
 def xi_epsilon(w: AffinePerm) -> tuple[int, ...]:

@@ -9,15 +9,17 @@ the forward map.
 Concretely, t_u * t_v vanishes unless the shapes agree and Q(u) = P(v);
 otherwise the weights of the coordinates upsilon(u), upsilon(v) (defined in
 ``cells``) tensor-multiply in the representation ring and each summand is
-carried back through upsilon_inverse.
+carried back through upsilon_inverse.  Products run on the rows and weight
+blocks of the coordinates, computed once per factor.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .affine import AffinePerm, compact_json, format_window, is_nonextended, parse_int, parse_window
-from .cells import distinguished_involutions, upsilon, upsilon_inverse
-from .repring import tensor_f
+from .cells import _coordinates, _from_coordinates, distinguished_involutions
+from .repring import _block_product
+from .tabloids import offset_rows
 
 JElement = dict  # AffinePerm -> nonzero integer coefficient
 
@@ -34,29 +36,26 @@ def t_multiply(u: AffinePerm, v: AffinePerm) -> JElement:
     the entries tensor-multiply and each output weight is carried back
     through the backward map.
     """
-    if u.n != v.n:
-        raise ValueError(f"period mismatch: {u.n} != {v.n}")
-    pu, qu, wu = upsilon(u)
-    pv, qv, wv = upsilon(v)
-    if qu != pv:  # tabloids of different shapes never agree
-        return {}
-    out: JElement = {}
-    for weight, mult in tensor_f(wu, wv).items():
-        w_out = upsilon_inverse(pu, qv, weight)
-        out[w_out] = out.get(w_out, 0) + mult
-    return out
+    return j_multiply(t_basis(u), t_basis(v))
 
 
 def j_multiply(a: JElement, b: JElement) -> JElement:
-    """Bilinear extension of t_multiply; zero coefficients are dropped."""
-    periods = {w.n for w in a} | {w.n for w in b}
+    """Bilinear extension of t_multiply, from the coordinates of each element
+    of a and of b, computed once; zero coefficients are dropped."""
+    periods = sorted({w.n for w in a} | {w.n for w in b})
     if len(periods) > 1:
-        raise ValueError(f"period mismatch: {sorted(periods)}")
+        raise ValueError(f"period mismatch: {' != '.join(map(str, periods))}")
+    right = [(_coordinates(v), cv) for v, cv in b.items()]
     out: JElement = {}
     for u, cu in a.items():
-        for v, cv in b.items():
-            for w, c in t_multiply(u, v).items():
-                out[w] = out.get(w, 0) + cu * cv * c
+        pu, qu, wu = _coordinates(u)
+        for (pv, qv, wv), cv in right:
+            if qu != pv:  # tabloids of different shapes never agree
+                continue
+            s = offset_rows(pu, qv)  # s_{P(u),Q(v)}, once per product
+            for blocks, mult in _block_product(wu, wv):
+                w = _from_coordinates(pu, qv, s, blocks, u.n)
+                out[w] = out.get(w, 0) + cu * cv * mult
     return {w: c for w, c in out.items() if c}
 
 

@@ -30,7 +30,7 @@ from .affine import (
     read_json,
     window_diagonals,
 )
-from .cells import upsilon, upsilon_inverse
+from .cells import _from_coordinates, upsilon
 from .repring import FWeight, fweight_from_json, zero_fweight
 from .tabloids import canonical_tabloid, equal_part_runs
 
@@ -73,14 +73,15 @@ def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:
     >>> theta1_inverse((3,), FWeight((3,), ((2,),)))
     (1, 1, 0)
     """
-    pair = LVPair(lam, weight)
-    return window_diagonals(lv_window(pair.shape, weight))
+    return window_diagonals(lv_window(lam, weight))
 
 
 def lv_window(lam: Sequence[int], weight: FWeight) -> AffinePerm:
-    """The canonical-cell window representing (lam, weight)."""
-    can = canonical_tabloid(lam)
-    return upsilon_inverse(can, can, weight)
+    """The canonical-cell window representing (lam, weight): the offset
+    constants of the canonical tabloid pair vanish."""
+    pair = LVPair(lam, weight)
+    can = canonical_tabloid(pair.shape).rows
+    return _from_coordinates(can, can, (0,) * len(can), weight.blocks, sum(pair.shape))
 
 
 def w_tableau_zero(lam: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -60,10 +60,11 @@ from .affine import (
     PartialPerm,
     _ceil_div,
     _is_int,
+    _trusted,
     compact_json,
     read_json,
 )
-from .tabloids import Rows, Tabloid, is_dominant_wrt, tabloid_from_lists
+from .tabloids import Blocks, Rows, Tabloid, _dominant_blocks, _tabloid_error, offset_rows, tabloid_from_lists
 
 Win = tuple  # window tuple with int or None entries
 
@@ -545,12 +546,26 @@ def phi(w: AffinePerm) -> DomTriple:
     (0,)
     """
     p_rows, q_rows, rho = _phi_win(w.window, w.n)
-    triple = DomTriple(Tabloid(w.n, p_rows), Tabloid(w.n, q_rows), rho)
-    if not is_dominant_wrt(rho, triple.p, triple.q):
+    _forward_blocks(w, p_rows, q_rows, rho)
+    return _trusted(DomTriple, _trusted(Tabloid, w.n, p_rows), _trusted(Tabloid, w.n, q_rows), rho)
+
+
+def _forward_blocks(w: AffinePerm, p_rows: Rows, q_rows: Rows, rho: tuple[int, ...]) -> Blocks:
+    """The weight blocks of the forward image (p_rows, q_rows, rho) of w by
+    ``_dominant_blocks``, after the one check that P and Q are row-standard
+    tabloids of one shape holding 1..n and rho has one entry per row; an
+    InvariantError naming w if the triple is not dominant."""
+    lam = tuple(map(len, p_rows))
+    blocks = None
+    if tuple(map(len, q_rows)) == lam and len(rho) == len(lam) and not (
+            _tabloid_error(p_rows, w.n) or _tabloid_error(q_rows, w.n)):
+        blocks = _dominant_blocks(lam, rho, offset_rows(p_rows, q_rows))
+    if blocks is None:
         raise InvariantError(
-            f"forward map left the dominant image: n={w.n}, window={w.window}, {triple}"
+            f"forward map left the dominant image: n={w.n}, window={w.window}, "
+            f"P={p_rows}, Q={q_rows}, rho={rho}"
         )
-    return triple
+    return blocks
 
 
 # --- backward step ------------------------------------------------------------
@@ -658,17 +673,23 @@ def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:
     rho = tuple(rho)
     if p.shape() != q.shape() or len(rho) != len(p.rows):
         raise ValueError("P, Q and rho must share one shape")
-    win = _psi_rows(p.rows, q.rows, rho, p.n)
+    return _psi_perm(p.rows, q.rows, rho, p.n)
+
+
+def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int) -> AffinePerm:
+    """psi on trusted rows; a hole in the result is an InvariantError naming
+    the triple, and AffinePerm checks the window."""
+    win = _psi_rows(p_rows, q_rows, rho, n)
     if any(v is None for v in win):
         raise InvariantError(
-            f"backward map produced holes from a full tabloid pair: n={p.n}, "
-            f"P={p.rows}, Q={q.rows}, rho={rho}"
+            f"backward map produced holes from a full tabloid pair: n={n}, "
+            f"P={p_rows}, Q={q_rows}, rho={rho}"
         )
-    return AffinePerm(p.n, win)
+    return AffinePerm(n, win)
 
 
 def psi_triple(t: DomTriple) -> AffinePerm:
-    return psi(t.p, t.q, t.rho)
+    return _psi_perm(t.p.rows, t.q.rows, t.rho, t.p.n)  # DomTriple checked the shapes
 
 
 # --- triple text format -------------------------------------------------------

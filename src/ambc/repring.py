@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Sequence
 
-from .affine import InvariantError, check_gl_weight, check_partition, compact_json, parse_ints, read_json
+from .affine import InvariantError, _trusted, check_gl_weight, check_partition, compact_json, parse_ints, read_json
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -150,7 +150,11 @@ def tensor_gl(mu: Sequence[int], nu: Sequence[int]) -> VirtualChar:
     [(2, 2, 1), (3, 1, 1), (3, 2, 0), (4, 1, 0)]
     """
     mu = check_gl_weight(mu)
-    nu = check_gl_weight(nu, len(mu))
+    return _gl_product(mu, check_gl_weight(nu, len(mu)))
+
+
+def _gl_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
+    # tensor_gl of checked weights: shift to partitions, multiply, shift back
     c1 = max(0, -mu[-1])
     c2 = max(0, -nu[-1])
     raw = _lr_product(tuple(x + c1 for x in mu), tuple(x + c2 for x in nu))
@@ -165,17 +169,25 @@ def tensor_f(r1: FWeight, r2: FWeight) -> VirtualChar:
     """
     if r1.shape != r2.shape:
         raise ValueError(f"shape mismatch: {r1.shape} vs {r2.shape}")
+    return {_trusted(FWeight, r1.shape, blocks): c for blocks, c in _block_product(r1.blocks, r2.blocks)}
+
+
+def _block_product(blocks1, blocks2) -> list[tuple[tuple[GLWeight, ...], int]]:
+    """
+    tensor_f on the blocks of two dominant weights of one shape: one (blocks,
+    multiplicity) per summand, each factor decomposed once and its weights
+    checked dominant once (an InvariantError naming the factor if not).
+    """
     combos: list[tuple[tuple[GLWeight, ...], int]] = [((), 1)]
-    for b1, b2 in zip(r1.blocks, r2.blocks):
-        factor = tensor_gl(b1, b2)
+    for b1, b2 in zip(blocks1, blocks2):
+        factor = _gl_product(b1, b2)
+        for kappa in factor:
+            if any(x < y for x, y in zip(kappa, kappa[1:])):
+                raise InvariantError(f"tensor product of {b1} and {b2} gave the non-dominant weight {kappa}")
         combos = [
             (blocks + (w,), c * mult) for blocks, c in combos for w, mult in factor.items()
         ]
-    out: VirtualChar = {}
-    for blocks, c in combos:
-        key = FWeight(r1.shape, blocks)
-        out[key] = out.get(key, 0) + c
-    return out
+    return combos
 
 
 def dim_gl(mu: Sequence[int]) -> int:

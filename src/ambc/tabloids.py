@@ -37,6 +37,7 @@ from .affine import (
 
 RowVector = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
+Blocks = tuple[RowVector, ...]  # one weight block per equal-part run
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,9 @@ class Tabloid:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        lengths = tuple(len(r) for r in self.rows)
-        check_partition(lengths, self.n)
-        seen = sorted(x for row in self.rows for x in row)
-        if seen != list(range(1, self.n + 1)):
-            raise ValueError(f"rows must contain each residue 1..{self.n} once: {self.rows}")
-        if any(a >= b for row in self.rows for a, b in zip(row, row[1:])):
-            raise ValueError(f"rows must be strictly increasing: {self.rows}")
+        error = _tabloid_error(self.rows, self.n)
+        if error:
+            raise ValueError(error)
 
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
@@ -68,6 +65,18 @@ class Tabloid:
     def row_of(self, i: int) -> int:
         """1-based index of the row containing residue i."""
         return _row_index(self.rows)[i]
+
+
+def _tabloid_error(rows: Rows, n: int) -> Optional[str]:
+    """Why ``rows`` are not a row-standard tabloid of 1..n (nonempty rows of
+    weakly decreasing lengths, each ascending, holding each residue once), or
+    None if they are."""
+    lam = tuple(map(len, rows))
+    if not lam or 0 in lam or list(lam) != sorted(lam, reverse=True):
+        return f"not a partition: {lam}"
+    if sorted(itertools.chain(*rows)) != list(range(1, n + 1)) or any(list(r) != sorted(r) for r in rows):
+        return f"rows must be strictly increasing and hold each residue 1..{n} once: {rows}"
+    return None
 
 
 def _row_index(rows: Rows) -> dict[int, int]:
@@ -176,10 +185,20 @@ def is_dominant_wrt(rho: Sequence[int], p: Tabloid, q: Tabloid) -> bool:
     rho = tuple(rho)
     if len(rho) != len(s):
         raise ValueError(f"rho length {len(rho)} != number of rows {len(s)}")
-    diff = [r - c for r, c in zip(rho, s)]
-    return all(
-        diff[i] <= diff[i + 1] for a, b in equal_part_runs(p.shape()) for i in range(a, b - 1)
-    )
+    return _dominant_blocks(p.shape(), rho, s) is not None
+
+
+def _dominant_blocks(lam: Sequence[int], rho: RowVector, s: RowVector) -> Optional[Blocks]:
+    """rev_lambda(lam, rho - s) cut into one block per equal-part run of lam
+    if every block is weakly decreasing (rho is dominant for the offset
+    constants s), else None; rho and s have one entry per row."""
+    blocks = []
+    for a, b in equal_part_runs(lam):
+        block = tuple(rho[i] - s[i] for i in range(b - 1, a - 1, -1))
+        if any(x < y for x, y in zip(block, block[1:])):
+            return None
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def canonical_tabloid(lam: Sequence[int], n: Optional[int] = None) -> Tabloid:

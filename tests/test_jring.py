@@ -4,8 +4,10 @@ import time
 
 import pytest
 
+from ambc import cells
 from ambc.affine import (
     AffinePerm,
+    InvariantError,
     compose,
     identity,
     inverse,
@@ -13,7 +15,7 @@ from ambc.affine import (
     partitions,
     shift,
 )
-from ambc.cells import is_distinguished, star_right
+from ambc.cells import is_distinguished, star_right, upsilon, upsilon_inverse
 from ambc.jring import (
     format_jelement,
     j_multiply,
@@ -24,7 +26,6 @@ from ambc.jring import (
     t_basis,
     t_multiply,
     unit,
-    upsilon,
 )
 from ambc.matrixball import phi, psi
 from ambc.oracles import _random_affine_perm
@@ -227,16 +228,99 @@ class TestStructure:
                     assert t_multiply(u, v) == {expected: 1}
 
 
-def random_products(seed: int, count: int):
-    """``count`` seeded composable pairs (x, y), Q(x) = P(y), with 2 <= n <= 5."""
+def random_products(seed: int, count: int, max_n: int = 5):
+    """``count`` seeded composable pairs (x, y), Q(x) = P(y), with 2 <= n <= max_n."""
     rng = random.Random(seed)
     for _ in range(count):
-        lam = rng.choice(list(partitions(rng.randint(2, 5))))
+        lam = rng.choice(list(partitions(rng.randint(2, max_n))))
         tabs = list(enumerate_tabloids(lam))
         q = rng.choice(tabs)
         x, _, _ = random_cell_element(rng, lam, tabs, None, q)
         y, _, _ = random_cell_element(rng, lam, tabs, q, None)
         yield x, y
+
+
+def product_by_definition(u, v):
+    """t_u * t_v through the public coordinates: upsilon of both factors,
+    tensor_f of their weights, upsilon_inverse of every summand."""
+    pu, qu, wu = upsilon(u)
+    pv, qv, wv = upsilon(v)
+    if qu != pv:
+        return {}
+    out = {}
+    for weight, mult in tensor_f(wu, wv).items():
+        w = upsilon_inverse(pu, qv, weight)
+        out[w] = out.get(w, 0) + mult
+    return out
+
+
+class TestRowCores:
+    # t_multiply and j_multiply run on the rows and weight blocks of the
+    # coordinates; the public functions are the reference
+
+    def test_product_matches_definition(self):
+        negative = 0
+        for u, v in random_products(40, 500, max_n=7):
+            expected = product_by_definition(u, v)
+            assert expected and t_multiply(u, v) == expected, (u, v)
+            negative += any(x < 0 for x in upsilon(u)[2].flatten())
+        assert negative > 100
+
+    def test_sums_match_bilinear_extension(self):
+        rng = random.Random(41)
+        mismatched = 0
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            cells_n = list(partitions(n))
+            pool = [random_cell_element(rng, rng.choice(cells_n))[0] for _ in range(6)]
+            a = {rng.choice(pool): rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+            b = {rng.choice(pool): rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+            expected = {}
+            for u, cu in a.items():
+                for v, cv in b.items():
+                    prod = t_multiply(u, v)
+                    mismatched += not prod
+                    for w, c in prod.items():
+                        expected[w] = expected.get(w, 0) + cu * cv * c
+            assert j_multiply(a, b) == {w: c for w, c in expected.items() if c}
+        assert mismatched > 50
+
+    def test_unit_product_maps_each_element_once(self, monkeypatch):
+        calls = []
+        real = cells._phi_win
+
+        def counted(win, n):
+            calls.append(win)
+            return real(win, n)
+
+        rng = random.Random(42)
+        for lam, n in [((2, 1), 3), ((2, 2), 4), ((2, 1, 1), 4), ((3, 2), 5)]:
+            u = unit(lam, n)
+            w, _, _ = random_cell_element(rng, lam)
+            monkeypatch.setattr(cells, "_phi_win", counted)
+            calls.clear()
+            assert j_multiply(u, t_basis(w)) == t_basis(w)
+            assert len(calls) == len(u) + 1
+            monkeypatch.undo()
+
+    def test_postcondition_names_window(self, monkeypatch):
+        # a non-dominant altitude vector: rho - s decreases in the first run
+        real = cells._phi_win
+
+        w = parse_window(W9)
+
+        def broken(win, n):
+            p, q, rho = real(win, n)
+            return (p, q, (rho[0] + 10,) + rho[1:]) if win == w.window else (p, q, rho)
+
+        monkeypatch.setattr(cells, "_phi_win", broken)
+        msg = r"left the dominant image: n=9, window=\(-1, 3, 10, -5, 14, -3, 18, 7, 2\)"
+        with pytest.raises(InvariantError, match=msg):
+            t_multiply(w, parse_window(W9P))
+        with pytest.raises(InvariantError, match=msg):
+            j_multiply(t_basis(parse_window(W9P)), t_basis(w))
+        with pytest.raises(InvariantError, match=msg):
+            upsilon(w)
 
 
 class TestAntiInvolution:

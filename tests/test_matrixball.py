@@ -280,7 +280,7 @@ class TestPhi:
             phi(AffinePerm(2, (2, 1)))
 
     def test_not_dominant_names_input(self, monkeypatch):
-        monkeypatch.setattr(matrixball, "is_dominant_wrt", lambda rho, p, q: False)
+        monkeypatch.setattr(matrixball, "_dominant_blocks", lambda lam, rho, s: None)
         msg = r"left the dominant image: n=3, window=\(2, 1, 3\)"
         with pytest.raises(InvariantError, match=msg):
             phi(AffinePerm(3, (2, 1, 3)))
