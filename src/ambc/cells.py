@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .affine import AffinePerm, _trusted, inverse, residue
-from .matrixball import _forward_blocks, _phi_win, _psi_perm, _psi_rows, phi, psi
+from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, phi
 from .repring import FWeight
 from .tabloids import (
     Blocks,
@@ -125,8 +125,9 @@ def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
     whenever i and i+1 share a row, or n < 3).
 
     Decided by probing the cell along the diagonal: the words psi(t, t, rho)
-    over small dominant altitude vectors realize every admissibility pattern;
-    results are cached per (tabloid, residue).
+    for every rho in {-1, 0, 1}^k that weakly increases on each run of equal
+    parts of the shape.  Whether these probes see every image of the cell is
+    open.  Results are cached per (tabloid, residue).
     """
     n = t.n
     if n < 3:
@@ -188,7 +189,7 @@ def distinguished_involutions(lam: Sequence[int], n: int) -> list[AffinePerm]:
     backward images of (T, T, 0) over all row-standard tabloids T.
     """
     zero = (0,) * len(tuple(lam))
-    return [psi(t, t, zero) for t in enumerate_tabloids(lam, n)]
+    return [_psi_perm(t.rows, t.rows, zero, n) for t in enumerate_tabloids(lam, n)]
 
 
 def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:
@@ -197,7 +198,7 @@ def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:
     label Q(w), and the representation-ring entry, i.e. the block reversal of
     the altitude vector after subtracting the offset constants.
     """
-    p, q, blocks = _coordinates(w)
+    p, q, _, blocks = _forward(w)
     lam = tuple(map(len, p))
     return _trusted(Tabloid, w.n, p), _trusted(Tabloid, w.n, q), _trusted(FWeight, lam, blocks)
 
@@ -216,13 +217,6 @@ def upsilon_inverse(p: Tabloid, q: Tabloid, weight: FWeight) -> AffinePerm:
     if weight.shape != p.shape():
         raise ValueError(f"weight shape {weight.shape} != tabloid shape {p.shape()}")
     return _from_coordinates(p.rows, q.rows, s, weight.blocks, p.n)
-
-
-def _coordinates(w: AffinePerm) -> tuple[Rows, Rows, Blocks]:
-    """Upsilon(w) as the rows of P and Q and the weight blocks: one forward
-    map and one offset computation, checked once."""
-    p_rows, q_rows, rho = _phi_win(w.window, w.n)
-    return p_rows, q_rows, _forward_blocks(w, p_rows, q_rows, rho)
 
 
 def _from_coordinates(p_rows: Rows, q_rows: Rows, s: RowVector, blocks: Blocks, n: int) -> AffinePerm:

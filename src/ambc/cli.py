@@ -26,7 +26,7 @@ from .jring import format_jelement, jelement_to_json, t_multiply
 from .lusztig_vogan import format_lv_pair, theta1, theta1_inverse
 from .matrixball import format_triple, parse_triple, phi, psi_triple
 from .oracles import self_check
-from .repring import fweight_from_json, parse_gl_weight, tensor_gl
+from .repring import fweight_from_json, tensor_gl
 from .tabloids import parse_shape
 
 
@@ -140,8 +140,8 @@ def _cmd_lv_inverse(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    mu = parse_gl_weight(args.mu)
-    nu = parse_gl_weight(args.nu)
+    mu = parse_ints(args.mu, "weight")
+    nu = parse_ints(args.nu, "weight")
     if len(mu) != args.m or len(nu) != args.m:
         raise ValueError(f"weights must have length m={args.m}")
     dec = sorted(tensor_gl(mu, nu).items(), reverse=True)

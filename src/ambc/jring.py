@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .affine import AffinePerm, compact_json, format_window, is_nonextended, parse_int, parse_window
-from .cells import _coordinates, _from_coordinates, distinguished_involutions
+from .cells import _from_coordinates, distinguished_involutions
+from .matrixball import _forward
 from .repring import _block_product
 from .tabloids import offset_rows
 
@@ -45,11 +46,11 @@ def j_multiply(a: JElement, b: JElement) -> JElement:
     periods = sorted({w.n for w in a} | {w.n for w in b})
     if len(periods) > 1:
         raise ValueError(f"period mismatch: {' != '.join(map(str, periods))}")
-    right = [(_coordinates(v), cv) for v, cv in b.items()]
+    right = [(_forward(v), cv) for v, cv in b.items()]
     out: JElement = {}
     for u, cu in a.items():
-        pu, qu, wu = _coordinates(u)
-        for (pv, qv, wv), cv in right:
+        pu, qu, _, wu = _forward(u)
+        for (pv, qv, _, wv), cv in right:
             if qu != pv:  # tabloids of different shapes never agree
                 continue
             s = offset_rows(pu, qv)  # s_{P(u),Q(v)}, once per product

@@ -545,16 +545,16 @@ def phi(w: AffinePerm) -> DomTriple:
     >>> phi(AffinePerm(3, (1, 2, 3))).rho
     (0,)
     """
-    p_rows, q_rows, rho = _phi_win(w.window, w.n)
-    _forward_blocks(w, p_rows, q_rows, rho)
+    p_rows, q_rows, rho, _ = _forward(w)
     return _trusted(DomTriple, _trusted(Tabloid, w.n, p_rows), _trusted(Tabloid, w.n, q_rows), rho)
 
 
-def _forward_blocks(w: AffinePerm, p_rows: Rows, q_rows: Rows, rho: tuple[int, ...]) -> Blocks:
-    """The weight blocks of the forward image (p_rows, q_rows, rho) of w by
-    ``_dominant_blocks``, after the one check that P and Q are row-standard
-    tabloids of one shape holding 1..n and rho has one entry per row; an
-    InvariantError naming w if the triple is not dominant."""
+def _forward(w: AffinePerm) -> tuple[Rows, Rows, tuple[int, ...], Blocks]:
+    """The forward image of w as the rows of P and Q, rho and its weight
+    blocks by ``_dominant_blocks``, after the one check that P and Q are
+    row-standard tabloids of one shape holding 1..n and rho has one entry per
+    row; an InvariantError naming w if the triple is not dominant."""
+    p_rows, q_rows, rho = _phi_win(w.window, w.n)
     lam = tuple(map(len, p_rows))
     blocks = None
     if tuple(map(len, q_rows)) == lam and len(rho) == len(lam) and not (
@@ -565,7 +565,7 @@ def _forward_blocks(w: AffinePerm, p_rows: Rows, q_rows: Rows, rho: tuple[int, .
             f"forward map left the dominant image: n={w.n}, window={w.window}, "
             f"P={p_rows}, Q={q_rows}, rho={rho}"
         )
-    return blocks
+    return p_rows, q_rows, rho, blocks
 
 
 # --- backward step ------------------------------------------------------------

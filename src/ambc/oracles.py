@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .affine import AffinePerm, InvariantError, PartialPerm, _ceil_div, partitions
@@ -32,12 +32,7 @@ class OracleReport:
         return f"{status:8s} {self.case}: expected {self.expected}, got {self.actual}"
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "expected": self.expected,
-            "actual": self.actual,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # --- channels by enumeration ---------------------------------------------------
@@ -192,10 +187,7 @@ def brute_complete_stream_families(w: PartialPerm) -> list[tuple[tuple[int, ...]
     """
     if w.n > 10:
         raise ValueError(f"stream-family search is guarded to n <= 10, got {w.n}")
-    if isinstance(w, AffinePerm):
-        lam = phi(w).shape()
-    else:
-        lam = tuple(len(r) for r in _phi_win(w.window, w.n)[0])
+    lam = tuple(len(r) for r in _phi_win(w.window, w.n)[0])
     dom = w.domain()
     families: list[tuple[tuple[int, ...], ...]] = []
 

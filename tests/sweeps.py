@@ -16,7 +16,7 @@ from ambc.affine import _inverse_window, partitions
 from ambc.cells import _star_window, star_tabloid
 from ambc.matrixball import _psi_rows, psi_cache_clear
 from ambc.tabloids import (
-    Tabloid,
+    count_tabloids,
     enumerate_tabloids,
     equal_part_runs,
     iota_vec,
@@ -27,14 +27,13 @@ from ambc.tabloids import (
 BOX = 2  # altitude entries swept over [-BOX, BOX]
 
 
-def _tab_data(n, lam, rows):
-    t = Tabloid(n, rows)
+def _tab_data(t):
+    n = t.n
     stars = tuple(
         (s.rows if (s := star_tabloid(t, i)) is not None else None) for i in range(1, n + 1)
     )
     return {
-        "rows": rows,
-        "omega": omega_rows(rows, n),
+        "omega": omega_rows(t.rows, n),
         "iota1": iota_vec(t, 1),
         "iotan": iota_vec(t, n),
         "stars": stars,
@@ -51,21 +50,32 @@ def _window_left_shift(win, n):
     return tuple(v + 1 for v in win)
 
 
-def transport_chunk(args):
-    """Check every transport law on the grid slice; returns statistics and a
-    list of violations (empty when the laws hold).
-
-    A job is (n, lam, p_lo, p_hi, stride): P-tabloids with index in
-    [p_lo, p_hi) against the Q-tabloids with (p_index + q_index) % stride == 0,
-    so stride 1 is the full pair grid and any stride covers every tabloid on
-    both sides.
-    """
-    n, lam, p_lo, p_hi, stride = args
+def _grid(n, lam, p_lo, p_hi, stride):
+    """The grid triples (P rows, Q rows, rho) of a job (n, lam, p_lo, p_hi,
+    stride): P-tabloids with index in [p_lo, p_hi) against the Q-tabloids with
+    (p_index + q_index) % stride == 0, so stride 1 is the full pair grid and
+    any stride covers every tabloid on both sides, and every rho in the box
+    with rho - s_{P,Q} weakly increasing on each run of equal parts of lam."""
     tabs = [t.rows for t in enumerate_tabloids(lam)]
-    data = {rows: _tab_data(n, lam, rows) for rows in tabs}
     runs = equal_part_runs(lam)
-    length = len(lam)
-    box = list(itertools.product(range(-BOX, BOX + 1), repeat=length))
+    box = list(itertools.product(range(-BOX, BOX + 1), repeat=len(lam)))
+    for pi in range(p_lo, p_hi):
+        prows = tabs[pi]
+        for qi, qrows in enumerate(tabs):
+            if (pi + qi) % stride:
+                continue
+            s = offset_rows(prows, qrows)
+            for rho in box:
+                diff = tuple(r - c for r, c in zip(rho, s))
+                if all(diff[k] <= diff[k + 1] for a, b in runs for k in range(a, b - 1)):
+                    yield prows, qrows, rho
+
+
+def transport_chunk(args):
+    """Check every transport law on the grid of a job; returns statistics and
+    a list of violations (empty when the laws hold)."""
+    n, lam = args[:2]
+    data = {t.rows: _tab_data(t) for t in enumerate_tabloids(lam)}
     memo: dict = {}
 
     def backward(prows, qrows, rho):
@@ -86,84 +96,74 @@ def transport_chunk(args):
         if backward(prows, qrows, rho) != window:
             violations.append((tag, prows, qrows, rho, window))
 
-    for pi in range(p_lo, p_hi):
-        prows = tabs[pi]
+    for prows, qrows, rho in _grid(*args):
         pd = data[prows]
-        for qi, qrows in enumerate(tabs):
-            if (pi + qi) % stride:
-                continue
-            qd = data[qrows]
-            s = offset_rows(prows, qrows)
-            for rho in box:
-                diff = tuple(r - c for r, c in zip(rho, s))
-                if any(diff[k] > diff[k + 1] for a, b in runs for k in range(a, b - 1)):
-                    continue
-                bases += 1
-                win = backward(prows, qrows, rho)
-                # right shift: w omega^{-1} has Q shifted and rho lowered on
-                # the row of residue n in Q
-                expect(
-                    "shift-right",
-                    prows,
-                    qd["omega"],
-                    tuple(r - c for r, c in zip(rho, qd["iotan"])),
-                    _window_right_shift(win, n),
-                )
-                # left shift: omega w has P shifted and rho raised on the row
-                # of residue n in P
-                expect(
-                    "shift-left",
-                    pd["omega"],
-                    qrows,
-                    tuple(r + c for r, c in zip(rho, pd["iotan"])),
-                    _window_left_shift(win, n),
-                )
-                if n < 3:
-                    continue
-                inv = None
-                for i in range(1, n + 1):
-                    qstar = qd["stars"][i - 1]
-                    if qstar is not None and (win_star := _star_window(win, n, i)) is not None:
-                        if i < n:
-                            rho_star = rho
-                        else:
-                            rho_star = tuple(
-                                r + a - b for r, a, b in zip(rho, qd["iota1"], qd["iotan"])
-                            )
-                        expect("star-right", prows, qstar, rho_star, win_star)
-                    pstar = pd["stars"][i - 1]
-                    if pstar is not None:
-                        if inv is None:
-                            inv = _inverse_window(win, n)
-                        inv_star = _star_window(inv, n, i)
-                        if inv_star is not None:
-                            if i < n:
-                                rho_star = rho
-                            else:
-                                rho_star = tuple(
-                                    r - a + b
-                                    for r, a, b in zip(rho, pd["iota1"], pd["iotan"])
-                                )
-                            expect(
-                                "star-left",
-                                pstar,
-                                qrows,
-                                rho_star,
-                                _inverse_window(inv_star, n),
-                            )
+        qd = data[qrows]
+        bases += 1
+        win = backward(prows, qrows, rho)
+        # right shift: w omega^{-1} has Q shifted and rho lowered on
+        # the row of residue n in Q
+        expect(
+            "shift-right",
+            prows,
+            qd["omega"],
+            tuple(r - c for r, c in zip(rho, qd["iotan"])),
+            _window_right_shift(win, n),
+        )
+        # left shift: omega w has P shifted and rho raised on the row
+        # of residue n in P
+        expect(
+            "shift-left",
+            pd["omega"],
+            qrows,
+            tuple(r + c for r, c in zip(rho, pd["iotan"])),
+            _window_left_shift(win, n),
+        )
+        if n < 3:
+            continue
+        inv = None
+        for i in range(1, n + 1):
+            qstar = qd["stars"][i - 1]
+            if qstar is not None and (win_star := _star_window(win, n, i)) is not None:
+                if i < n:
+                    rho_star = rho
+                else:
+                    rho_star = tuple(
+                        r + a - b for r, a, b in zip(rho, qd["iota1"], qd["iotan"])
+                    )
+                expect("star-right", prows, qstar, rho_star, win_star)
+            pstar = pd["stars"][i - 1]
+            if pstar is not None:
+                if inv is None:
+                    inv = _inverse_window(win, n)
+                inv_star = _star_window(inv, n, i)
+                if inv_star is not None:
+                    if i < n:
+                        rho_star = rho
+                    else:
+                        rho_star = tuple(
+                            r - a + b
+                            for r, a, b in zip(rho, pd["iota1"], pd["iotan"])
+                        )
+                    expect(
+                        "star-left",
+                        pstar,
+                        qrows,
+                        rho_star,
+                        _inverse_window(inv_star, n),
+                    )
     psi_cache_clear()
     return bases, checks, violations
 
 
-def transport_jobs(max_n, strides=None, chunks=6):
+def transport_jobs(max_n, strides, chunks=6):
     """Chunk list covering every shape of every n <= max_n.  ``strides`` maps
-    a shape to its pair-grid stride (default 1 = the full grid); shapes with
-    many tabloids are split into P-slices so two workers stay busy."""
-    strides = strides or {}
+    a shape to its pair-grid stride (1 = the full grid when absent); shapes
+    with many tabloids are split into P-slices so two workers stay busy."""
     jobs = []
     for n in range(1, max_n + 1):
         for lam in partitions(n):
-            count = len(list(enumerate_tabloids(lam)))
+            count = count_tabloids(lam)
             stride = strides.get(lam, 1)
             if count <= 60:
                 jobs.append((n, lam, 0, count, stride))
@@ -172,41 +172,27 @@ def transport_jobs(max_n, strides=None, chunks=6):
                 for lo in range(0, count, step):
                     jobs.append((n, lam, lo, min(lo + step, count), stride))
     # big jobs first for better two-worker balance
-    jobs.sort(key=lambda j: (j[3] - j[2]) * len(list(enumerate_tabloids(j[1]))), reverse=True)
+    jobs.sort(key=lambda j: (j[3] - j[2]) * count_tabloids(j[1]), reverse=True)
     return jobs
 
 
 # deterministic pair-grid strides for the two largest n=5 shapes, sized so
-# the default acceptance run fits its runtime budget on a small machine; the
-# full grid (stride 1 everywhere) runs with AMBC_FULL_SWEEPS=1
+# the acceptance run fits its runtime budget on a small machine
 DEFAULT_STRIDES = {(2, 1, 1, 1): 4, (1, 1, 1, 1, 1): 12}
 
 
 def central_shift_chunk(args):
     """Check that multiplying by the central shift omega^n adds the shape to
-    the altitude vector, over the (possibly strided) pair grid of a shape."""
-    n, lam, p_lo, p_hi, stride = args
-    tabs = [t.rows for t in enumerate_tabloids(lam)]
-    runs = equal_part_runs(lam)
-    box = list(itertools.product(range(-BOX, BOX + 1), repeat=len(lam)))
+    the altitude vector, over the grid of a job."""
+    n, lam = args[:2]
     bases = 0
     violations = []
-    for pi in range(p_lo, p_hi):
-        prows = tabs[pi]
-        for qi, qrows in enumerate(tabs):
-            if (pi + qi) % stride:
-                continue
-            s = offset_rows(prows, qrows)
-            for rho in box:
-                diff = tuple(r - c for r, c in zip(rho, s))
-                if any(diff[k] > diff[k + 1] for a, b in runs for k in range(a, b - 1)):
-                    continue
-                bases += 1
-                win = _psi_rows(prows, qrows, rho, n)
-                shifted = tuple(v + n for v in win)
-                rho_up = tuple(r + part for r, part in zip(rho, lam))
-                if _psi_rows(prows, qrows, rho_up, n) != shifted:
-                    violations.append((prows, qrows, rho))
+    for prows, qrows, rho in _grid(*args):
+        bases += 1
+        shifted = tuple(v + n for v in _psi_rows(prows, qrows, rho, n))
+        rho_up = tuple(r + part for r, part in zip(rho, lam))
+        if _psi_rows(prows, qrows, rho_up, n) != shifted:
+            violations.append((prows, qrows, rho))
     psi_cache_clear()
     return bases, bases, violations
 
@@ -216,8 +202,7 @@ def pair_budget_strides(max_n, budget_pairs):
     out = {}
     for n in range(1, max_n + 1):
         for lam in partitions(n):
-            count = len(list(enumerate_tabloids(lam)))
-            pairs = count * count
+            pairs = count_tabloids(lam) ** 2
             if pairs > budget_pairs:
                 out[lam] = -(-pairs // budget_pairs)
     return out

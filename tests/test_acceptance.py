@@ -2,16 +2,13 @@
 Acceptance suite: one test per criterion, each printing a pass/fail line and
 holding itself to a runtime budget.
 
-The two bulk sweeps (transport laws, central-shift law) default to a
+The two bulk sweeps (transport laws, central-shift law) run on a
 deterministic reduced pair grid on the largest shapes so the suite fits its
 budgets on a small machine; the grids stay exhaustive in every other
-dimension.  Set AMBC_FULL_SWEEPS=1 to run the complete grids instead
-(runtime budgets are then not enforced).  Run with ``pytest -s`` to see the
-per-criterion lines.
+dimension.  Run with ``pytest -s`` to see the per-criterion lines.
 """
 import contextlib
 import itertools
-import os
 import random
 import time
 from multiprocessing import get_context
@@ -58,8 +55,6 @@ from sweeps import (
     transport_jobs,
 )
 
-FULL = bool(os.environ.get("AMBC_FULL_SWEEPS"))
-
 
 @contextlib.contextmanager
 def criterion(number, name, budget_s):
@@ -70,10 +65,8 @@ def criterion(number, name, budget_s):
         status = "PASS"
     finally:
         dt = time.perf_counter() - t0
-        mode = " [full sweep]" if FULL else ""
-        print(f"\nACCEPTANCE {number} ({name}): {status} in {dt:.1f}s / budget {budget_s:.0f}s{mode}")
-    if not FULL:
-        assert dt < budget_s, f"criterion {number} ran {dt:.1f}s, over its {budget_s:.0f}s budget"
+        print(f"\nACCEPTANCE {number} ({name}): {status} in {dt:.1f}s / budget {budget_s:.0f}s")
+    assert dt < budget_s, f"criterion {number} ran {dt:.1f}s, over its {budget_s:.0f}s budget"
 
 
 def run_pool(worker, jobs):
@@ -118,13 +111,12 @@ def test_criterion_3_shift_and_star_transport(golden9):
         assert ts.q == star_tabloid(golden9["q"], 9)
         assert ts.rho == (0, 0, 0)
         # the sweep: both shift laws and both star laws on the pair grid
-        strides = {} if FULL else DEFAULT_STRIDES
-        results = run_pool(transport_chunk, transport_jobs(5, strides))
+        results = run_pool(transport_chunk, transport_jobs(5, DEFAULT_STRIDES))
         bases = sum(r[0] for r in results)
         checks = sum(r[1] for r in results)
         violations = [v for r in results for v in r[2]]
         assert not violations, violations[:3]
-        assert bases >= (2_500_000 if FULL else 300_000)
+        assert bases >= 300_000
         assert checks > 4 * bases
 
 
@@ -254,7 +246,7 @@ def test_criterion_8_diagonal_cell_weights():
 
 def test_criterion_9_central_shift_and_pgl():
     with criterion(9, "central shift law and non-extended test", 60.0):
-        strides = {} if FULL else pair_budget_strides(6, 380)
+        strides = pair_budget_strides(6, 380)
         results = run_pool(central_shift_chunk, transport_jobs(6, strides, chunks=4))
         bases = sum(r[0] for r in results)
         violations = [v for r in results for v in r[2]]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambc import repring
 from ambc.affine import parse_ints, parse_window, partitions
 from ambc.cli import _COMMANDS, _build_parser, main
 from ambc.jring import parse_jelement
@@ -232,6 +233,22 @@ class TestTensor:
     def test_length_mismatch(self, capsys):
         code, _, err = run(capsys, "tensor", "--m", "3", "1,0", "1,0")
         assert code == 2
+        # the length is tested before the order, which tensor_gl checks
+        code, _, err = run(capsys, "tensor", "--m", "2", "1,2,0", "2,0")
+        assert code == 2 and "weights must have length m=2" in err
+
+    def test_checks_each_weight_once(self, capsys, monkeypatch):
+        calls = []
+        real = repring.check_gl_weight
+
+        def counted(mu, m=None):
+            calls.append(mu)
+            return real(mu, m)
+
+        monkeypatch.setattr(repring, "check_gl_weight", counted)
+        code, _, _ = run(capsys, "tensor", "--m", "3", "2,1,0", "2,0,0")
+        assert code == 0
+        assert calls == [(2, 1, 0), (2, 0, 0)]
 
 
 class TestMinusLeadingArguments:

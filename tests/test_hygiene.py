@@ -3,7 +3,9 @@ every module-level name of the library is read somewhere (a public one may
 instead be exported by the package), every library name the benchmark harness
 imports exists, the library and the tests import only at
 module level (so their import graphs are the ones their headers show), only
-the text layer of the library imports ``json`` or ``re``, and the library
+the text layer of the library imports ``json`` or ``re``, outside
+``matrixball`` only the star probe and the oracles read the raw forward and
+backward kernels, and the library
 checks its invariants without ``assert`` (which ``python -O`` strips)."""
 import ast
 from pathlib import Path
@@ -118,6 +120,43 @@ def test_text_parsing_only_in_affine_and_cli():
         for path in LIBRARY
         if path.stem not in ("affine", "cli")
         for name in sorted(imported_modules(ast.parse(path.read_text())) & {"json", "re"})
+    ]
+    assert not found, found
+
+
+KERNELS = {"_phi_win", "_psi_rows"}
+
+
+def kernel_readers(tree: ast.Module) -> set[str]:
+    """The module-level definitions (``<module>`` for other statements) that
+    name the unchecked forward or backward kernel; imports do not count."""
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, SCOPES) else "<module>"
+        for node in ast.walk(top):
+            if getattr(node, "id", getattr(node, "attr", None)) in KERNELS:
+                found.add(owner)
+    return found
+
+
+def test_scanner_finds_kernel_readers():
+    tree = ast.parse(
+        "from m import _phi_win, _psi_rows\nimport m\nf = _phi_win\n"
+        "def g():\n    return m._psi_rows\ndef h():\n    return _phi\n"
+    )
+    assert kernel_readers(tree) == {"<module>", "g"}
+
+
+def test_raw_kernels_stay_behind_checked_cores():
+    # outside matrixball a forward or backward image goes through phi, psi or
+    # their checked cores, so the postconditions hold everywhere; the star
+    # probe and the oracles read the raw kernels on purpose
+    found = [
+        f"{path.stem}.{owner}"
+        for path in LIBRARY
+        if path.stem not in ("matrixball", "oracles")
+        for owner in sorted(kernel_readers(ast.parse(path.read_text(), str(path))))
+        if (path.stem, owner) != ("cells", "_star_probe")
     ]
     assert not found, found
 

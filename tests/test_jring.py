@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ambc import cells
+from ambc import matrixball
 from ambc.affine import (
     AffinePerm,
     InvariantError,
@@ -287,7 +287,7 @@ class TestRowCores:
 
     def test_unit_product_maps_each_element_once(self, monkeypatch):
         calls = []
-        real = cells._phi_win
+        real = matrixball._phi_win
 
         def counted(win, n):
             calls.append(win)
@@ -297,7 +297,7 @@ class TestRowCores:
         for lam, n in [((2, 1), 3), ((2, 2), 4), ((2, 1, 1), 4), ((3, 2), 5)]:
             u = unit(lam, n)
             w, _, _ = random_cell_element(rng, lam)
-            monkeypatch.setattr(cells, "_phi_win", counted)
+            monkeypatch.setattr(matrixball, "_phi_win", counted)
             calls.clear()
             assert j_multiply(u, t_basis(w)) == t_basis(w)
             assert len(calls) == len(u) + 1
@@ -305,7 +305,7 @@ class TestRowCores:
 
     def test_postcondition_names_window(self, monkeypatch):
         # a non-dominant altitude vector: rho - s decreases in the first run
-        real = cells._phi_win
+        real = matrixball._phi_win
 
         w = parse_window(W9)
 
@@ -313,7 +313,7 @@ class TestRowCores:
             p, q, rho = real(win, n)
             return (p, q, (rho[0] + 10,) + rho[1:]) if win == w.window else (p, q, rho)
 
-        monkeypatch.setattr(cells, "_phi_win", broken)
+        monkeypatch.setattr(matrixball, "_phi_win", broken)
         msg = r"left the dominant image: n=9, window=\(-1, 3, 10, -5, 14, -3, 18, 7, 2\)"
         with pytest.raises(InvariantError, match=msg):
             t_multiply(w, parse_window(W9P))
@@ -321,6 +321,8 @@ class TestRowCores:
             j_multiply(t_basis(parse_window(W9P)), t_basis(w))
         with pytest.raises(InvariantError, match=msg):
             upsilon(w)
+        with pytest.raises(InvariantError, match=msg):
+            phi(w)
 
 
 class TestAntiInvolution:
