@@ -32,7 +32,7 @@ from .affine import (
 )
 from .cells import _from_coordinates, upsilon
 from .repring import FWeight, fweight_from_json, zero_fweight
-from .tabloids import canonical_tabloid, equal_part_runs
+from .tabloids import _canonical_rows, canonical_tabloid, equal_part_runs
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def lv_window(lam: Sequence[int], weight: FWeight) -> AffinePerm:
     """The canonical-cell window representing (lam, weight): the offset
     constants of the canonical tabloid pair vanish."""
     pair = LVPair(lam, weight)
-    can = canonical_tabloid(pair.shape).rows
+    can = _canonical_rows(pair.shape)
     return _from_coordinates(can, can, (0,) * len(can), weight.blocks, sum(pair.shape))
 
 

@@ -10,7 +10,8 @@ chain of balls in the northwest order; its *density* is the number of balls
 per period and its *altitude* is the sum of ceil(y/n) - 1 over one period of
 window representatives.  A *channel* of a partial permutation is a
 maximum-density substream; among these the *southwest channel* is the unique
-one every other channel dominates from the northeast.
+one every other channel dominates from the northeast: the least channel in
+that order, found by one candidate pass and one checking pass.
 
 The forward step numbers the balls by longest reverse paths out of the
 southwest channel, groups equal labels into zigzags, and replaces each
@@ -247,11 +248,18 @@ def _dominates_from_ne(vs: list, n: int, c, other) -> bool:
 
 
 def _southwest_channel(xs: list, vs: list, n: int) -> tuple[int, ...]:
-    """Ball indices of the channel all others dominate from the northeast."""
+    """Ball indices of the least channel, the one all others dominate from the
+    northeast: a candidate pass adopts each channel southwest of the candidate,
+    and a checking pass tests the result against every other channel."""
     chans = _all_channels(xs, vs, n)
     if len(chans) == 1:
         return chans[0]
-    sw = [c for c in chans if all(_dominates_from_ne(vs, n, c, o) for o in chans if o != c)]
+    cand = chans[0]
+    for o in chans[1:]:
+        if _dominates_from_ne(vs, n, o, cand):
+            cand = o
+    ok = all(o == cand or _dominates_from_ne(vs, n, cand, o) for o in chans)
+    sw = [o for o in chans if o == cand] if ok else []
     if len(sw) != 1:
         raise InvariantError(
             f"expected a unique southwest channel, found {len(sw)}: n={n}, "

@@ -63,6 +63,21 @@ def brute_channels(w: PartialPerm) -> tuple[Stream, ...]:
     return tuple(sorted(streams, key=lambda s: s.pairs))
 
 
+def dominates_by_translates(c: Sequence, other: Sequence, n: int) -> bool:
+    """Whether every ball (x, v) of c has a translate k of a ball (xo, vo) of
+    ``other`` weakly to its northeast: ceil((v - vo) / n) <= k <= (x - xo) // n."""
+    return all(any(_ceil_div(v - vo, n) <= (x - xo) // n for xo, vo in other) for x, v in c)
+
+
+def brute_southwest_channel(w: PartialPerm) -> Stream:
+    """The channel of ``brute_channels`` every channel dominates from the northeast."""
+    chans = brute_channels(w)
+    sw = [c for c in chans if all(dominates_by_translates(c.pairs, o.pairs, w.n) for o in chans)]
+    if len(sw) != 1:
+        raise InvariantError(f"expected a unique southwest channel, found {len(sw)}: {w.window}")
+    return sw[0]
+
+
 def chain_runs_by_scan(vs: Sequence[int], n: int) -> list[list[tuple[int, int, int]]]:
     """
     The chain table of the balls with values ``vs`` (in window order), each

@@ -210,12 +210,17 @@ def canonical_tabloid(lam: Sequence[int], n: Optional[int] = None) -> Tabloid:
     ((5, 6, 7, 8), (2, 3, 4), (1,))
     """
     lam = check_partition(lam, n)
+    return Tabloid(sum(lam), _canonical_rows(lam))
+
+
+def _canonical_rows(lam: tuple[int, ...]) -> Rows:
+    """The rows of ``canonical_tabloid(lam)`` for a checked partition lam."""
     rows: list[tuple[int, ...]] = []
     start = 1
     for part in reversed(lam):
         rows.append(tuple(range(start, start + part)))
         start += part
-    return Tabloid(sum(lam), tuple(reversed(rows)))
+    return tuple(reversed(rows))
 
 
 def anticanonical_tabloid(lam: Sequence[int], n: Optional[int] = None) -> Tabloid:

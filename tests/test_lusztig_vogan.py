@@ -24,6 +24,7 @@ from ambc.lusztig_vogan import (
     w_tableau_zero,
     zero_pair,
 )
+from ambc import lusztig_vogan, tabloids
 from ambc.repring import FWeight, fweight_from_rows, zero_fweight
 from ambc.tabloids import equal_part_runs
 
@@ -183,6 +184,18 @@ class TestBijection:
                 )
             )
             assert shifted.weight.blocks == expected
+
+    def test_inverse_checks_the_shape_once(self, monkeypatch):
+        calls = []
+        for module in (lusztig_vogan, tabloids):
+            def counted(lam, n=None, real=module.check_partition):
+                calls.append(lam)
+                return real(lam, n)
+
+            monkeypatch.setattr(module, "check_partition", counted)
+        weight = FWeight((2, 2, 1, 1, 1), ((0, 0), (1, 0, -1)))
+        assert theta1_inverse((2, 2, 1, 1, 1), weight) == (5, 2, 1, 0, -1, -2, -5)
+        assert calls == [(2, 2, 1, 1, 1)]
 
 
 class TestWChannels:

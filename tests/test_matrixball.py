@@ -25,6 +25,7 @@ from ambc.matrixball import (
     _channel_labels,
     _dominates_from_ne,
     _psi_rows,
+    _southwest_channel,
     backward_numbering,
     backward_step,
     channel_numbering,
@@ -40,7 +41,7 @@ from ambc.matrixball import (
     southwest_channel,
 )
 from ambc import matrixball, psi_cache_info
-from ambc.oracles import _random_affine_perm
+from ambc.oracles import _random_affine_perm, dominates_by_translates
 from ambc.tabloids import (
     Tabloid,
     canonical_tabloid,
@@ -128,13 +129,6 @@ class TestChannels:
             assert southwest_channel(w).density() == phi(w).shape()[0]
 
     def test_dominance_walk_against_translates(self):
-        def by_translates(xs, vs, n, c, other):
-            # some translate k of a ball o of other lies weakly northeast of
-            # ball t: ceil((v_t - v_o) / n) <= k <= floor((x_t - x_o) / n)
-            return all(
-                any(-((vs[o] - vs[t]) // n) <= (xs[t] - xs[o]) // n for o in other) for t in c
-            )
-
         wins = list(small_windows())
         rng = random.Random(53)
         for _ in range(300):
@@ -147,12 +141,31 @@ class TestChannels:
         for win, n in wins:
             xs, vs = _balls(win)
             chans = _all_channels(xs, vs, n)
-            for c in chans:
-                for other in chans:
-                    expected = by_translates(xs, vs, n, c, other)
+            balls = [[(xs[t], vs[t]) for t in c] for c in chans]
+            for c, c_balls in zip(chans, balls):
+                for other, other_balls in zip(chans, balls):
+                    expected = dominates_by_translates(c_balls, other_balls, n)
                     assert _dominates_from_ne(vs, n, c, other) == expected, (n, win, c, other)
                     pairs += 1
         assert pairs > 5000
+
+    def test_one_merge_walk_per_channel_and_pass(self, monkeypatch):
+        # reversed blocks of lengths 3, 2, 3, 2, 3: a channel takes one ball
+        # of each, so 108 channels, and the southwest one takes each block's
+        # last ball.  The candidate pass and the checking pass each walk once
+        # against every channel but one.
+        win = (3, 2, 1, 5, 4, 8, 7, 6, 10, 9, 13, 12, 11)
+        xs, vs = _balls(win)
+        assert len(_all_channels(xs, vs, 13)) == 108
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _dominates_from_ne(*args)
+
+        monkeypatch.setattr(matrixball, "_dominates_from_ne", counted)
+        assert _southwest_channel(xs, vs, 13) == (2, 4, 7, 9, 12)
+        assert len(calls) == 2 * 107
 
     def test_enumeration_cap_names_input(self, monkeypatch):
         # [2,1,4,3] has 2 * 2 = 4 channels, past a cap of 1
@@ -212,6 +225,14 @@ class TestChannelNumbering:
         msg = r"found 2: n=2, balls=\[\(1, 2\), \(2, 1\)\], channels=\[\(1,\), \(1,\)\]$"
         with pytest.raises(InvariantError, match=msg):
             southwest_channel(AffinePerm(2, (2, 1)))
+
+    def test_no_least_channel_names_input(self, monkeypatch):
+        # two crossing chains of the identity: neither dominates the other,
+        # so the candidate the first pass keeps fails the checking pass
+        monkeypatch.setattr(matrixball, "_all_channels", lambda xs, vs, n: [(0, 3), (1, 2)])
+        msg = r"found 0: n=4, balls=\[\(1, 1\), \(2, 2\), \(3, 3\), \(4, 4\)\], channels=\[\]$"
+        with pytest.raises(InvariantError, match=msg):
+            southwest_channel(AffinePerm(4, (1, 2, 3, 4)))
 
 
 class TestForwardStep:

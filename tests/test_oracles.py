@@ -20,12 +20,14 @@ from ambc.matrixball import (
     _zigzags,
     channels,
     psi,
+    southwest_channel,
 )
 from ambc.oracles import (
     OracleReport,
     brute_channels,
     brute_complete_stream_families,
     brute_schur_product,
+    brute_southwest_channel,
     chain_runs_by_scan,
     channel_labels_round_robin,
     epsilon_from_families,
@@ -74,6 +76,42 @@ class TestBruteChannels:
     def test_guard(self):
         with pytest.raises(ValueError):
             brute_channels(identity(9))
+
+
+def reversed_block_windows(max_n):
+    """(window, n) of every window cut into reversed blocks, [3,2,1,5,4] for
+    blocks of lengths 3 and 2, with n <= max_n: a channel takes one ball of
+    each block."""
+    for n in range(1, max_n + 1):
+        for cuts in itertools.product((False, True), repeat=n - 1):
+            win, start = [], 0
+            for end in [i + 1 for i, cut in enumerate(cuts) if cut] + [n]:
+                win.extend(range(end, start, -1))
+                start = end
+            yield tuple(win), n
+
+
+class TestBruteSouthwestChannel:
+    def test_exhaustive_small(self):
+        # the channel depends only on the ball order, so the value sequences
+        # of every n <= 5 with shifts in {-1, 0, 1}, put at the first
+        # positions, stand for every window with holes
+        seen = 0
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for perm in itertools.permutations(range(1, n + 1), k):
+                    for shifts in itertools.product((-1, 0, 1), repeat=k):
+                        win = tuple(v + n * s for v, s in zip(perm, shifts)) + (None,) * (n - k)
+                        w = PartialPerm(n, win)
+                        assert southwest_channel(w) == brute_southwest_channel(w), (win, n)
+                        seen += 1
+        assert seen == 43_659
+
+    def test_seeded_and_reversed_blocks(self):
+        wins = list(partial_windows()) + list(reversed_block_windows(8))
+        for win, n in wins:
+            w = PartialPerm(n, win)
+            assert southwest_channel(w) == brute_southwest_channel(w), (win, n)
 
 
 def backward_steps(win, n):
