@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .affine import AffinePerm, _trusted, inverse, residue
-from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, phi
+from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, _psi_step, phi
 from .repring import FWeight
 from .tabloids import (
     Blocks,
@@ -150,15 +150,15 @@ def _star_probe(n: int, rows: Rows, i: int) -> Optional[Rows]:
     swapped = tuple(
         tuple(sorted(j if x == i else i if x == j else x for x in row)) for row in rows
     )
-    images = set()
+    seen = False
     for rho in _probe_altitudes(tuple(len(row) for row in rows)):
         win = _star_window(_psi_rows(rows, rows, rho, n), n, i)
         if win is None:
             continue
-        images.add(_phi_win(win, n)[1])
-        if len(images) > 1:
+        if _phi_win(win, n)[1] != swapped:
             return None
-    return swapped if images == {swapped} else None
+        seen = True
+    return swapped if seen else None
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +189,7 @@ def distinguished_involutions(lam: Sequence[int], n: int) -> list[AffinePerm]:
     backward images of (T, T, 0) over all row-standard tabloids T.
     """
     zero = (0,) * len(tuple(lam))
-    return [_psi_perm(t.rows, t.rows, zero, n) for t in enumerate_tabloids(lam, n)]
+    return [_psi_perm(t.rows, t.rows, zero, n, _psi_step) for t in enumerate_tabloids(lam, n)]
 
 
 def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:

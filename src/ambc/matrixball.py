@@ -644,27 +644,35 @@ def backward_step(w: PartialPerm, s: Stream) -> PartialPerm:
 
 
 def psi_cache_clear() -> None:
-    """Drop memoized backward steps."""
+    """Drop the memo of backward steps that the cell sweeps share."""
     _psi_step.cache_clear()
 
 
 def psi_cache_info():
-    """Hits, misses, maximum and current size of the memo of recent backward steps."""
+    """Hits, misses, maximum and current size of the memo of backward steps
+    that the cell sweeps share; single-triple calls such as ``psi`` skip it."""
     return _psi_step.cache_info()
+
+
+def _bk_row(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
+    """The backward step from ``win`` against the stream of one row of the triple."""
+    return _bk_win(win, n, _stream_pairs_for(q_row, p_row, alt, n))
 
 
 @lru_cache(maxsize=4096)
 def _psi_step(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
-    """The backward step from ``win`` against the stream of one row of the
-    triple; recent steps are shared across calls."""
-    return _bk_win(win, n, _stream_pairs_for(q_row, p_row, alt, n))
+    """``_bk_row`` behind a memo.  Sweeps over the triples of one shape, such
+    as the distinguished involutions and the star probe, meet the same lower
+    rows again and hit it; a generic window almost never repeats a step, so
+    ``psi`` and the coordinate maps take ``_bk_row`` without the memo."""
+    return _bk_row(win, q_row, p_row, alt, n)
 
 
-def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int) -> Win:
+def _psi_rows(p_rows: Rows, q_rows: Rows, rho: Sequence[int], n: int, step=_psi_step) -> Win:
     # trusted: the rows of two tabloids of one shape and one altitude per row
     win = (None,) * n
     for q_row, p_row, alt in zip(reversed(q_rows), reversed(p_rows), reversed(tuple(rho))):
-        win = _psi_step(win, tuple(q_row), tuple(p_row), alt, n)
+        win = step(win, tuple(q_row), tuple(p_row), alt, n)
     return win
 
 
@@ -684,10 +692,11 @@ def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:
     return _psi_perm(p.rows, q.rows, rho, p.n)
 
 
-def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int) -> AffinePerm:
-    """psi on trusted rows; a hole in the result is an InvariantError naming
-    the triple, and AffinePerm checks the window."""
-    win = _psi_rows(p_rows, q_rows, rho, n)
+def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int, step=_bk_row) -> AffinePerm:
+    """psi on trusted rows, one backward ``step`` per row; a hole in the
+    result is an InvariantError naming the triple, and AffinePerm checks the
+    window."""
+    win = _psi_rows(p_rows, q_rows, rho, n, step)
     if any(v is None for v in win):
         raise InvariantError(
             f"backward map produced holes from a full tabloid pair: n={n}, "

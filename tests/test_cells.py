@@ -128,6 +128,20 @@ class TestStarOperations:
                 if sw is not None:
                     assert sw == inverse(ws)
 
+    def test_star_probe_stops_at_the_first_other_image(self, monkeypatch):
+        # the first probe image of ((1, 3), (2,), (4,)) at residue 1 is not
+        # the swap, so no later probe can make T* defined
+        calls = []
+
+        def counting_phi_win(win, n):
+            calls.append(win)
+            return phi_win(win, n)
+
+        phi_win = cells._phi_win
+        monkeypatch.setattr(cells, "_phi_win", counting_phi_win)
+        assert cells._star_probe.__wrapped__(4, ((1, 3), (2,), (4,)), 1) is None
+        assert len(calls) == 1
+
 
 class TestDistinguished:
     def test_golden(self):

@@ -40,7 +40,10 @@ from ambc.matrixball import (
     psi_triple,
     southwest_channel,
 )
-from ambc import matrixball, psi_cache_info
+from ambc import cells, matrixball, psi_cache_info
+from ambc.cells import distinguished_involutions, star_tabloid, upsilon, upsilon_inverse
+from ambc.jring import t_multiply
+from ambc.lusztig_vogan import theta1, theta1_inverse
 from ambc.oracles import _random_affine_perm, dominates_by_translates
 from ambc.tabloids import (
     Tabloid,
@@ -456,6 +459,20 @@ class TestBackwardStep:
             _bk_win((1, None), 2, ((1, 2),))
 
 
+GOLDEN_WINDOW = AffinePerm(9, (3, 7, 14, 2, 18, 4, 19, 8, 6))
+GOLDEN_TRIPLE = phi(GOLDEN_WINDOW)
+LV_PAIR = theta1((3, 1, 1, 0))
+
+# every entry point that runs the backward map on one triple at a time
+SINGLE_TRIPLE_CALLS = {
+    "psi": lambda: psi(GOLDEN_TRIPLE.p, GOLDEN_TRIPLE.q, GOLDEN_TRIPLE.rho),
+    "psi_triple": lambda: psi_triple(GOLDEN_TRIPLE),
+    "upsilon_inverse": lambda: upsilon_inverse(*upsilon(GOLDEN_WINDOW)),
+    "theta1_inverse": lambda: theta1_inverse(LV_PAIR.shape, LV_PAIR.weight),
+    "t_multiply": lambda: t_multiply(GOLDEN_WINDOW, inverse(GOLDEN_WINDOW)),
+}
+
+
 class TestPsi:
     def test_golden(self, golden9):
         w = psi(golden9["p"], golden9["q"], golden9["rho"])
@@ -477,13 +494,28 @@ class TestPsi:
         win = _psi_rows(rows, rows, (0, 3, 0), 15)
         assert format_window(PartialPerm(15, win)) == "[-21,-20,-8,-7,5,6,32,33,34,46,_,_,_,_,_]"
 
-    def test_prefix_memo(self, golden9):
+    @pytest.mark.parametrize("call", sorted(SINGLE_TRIPLE_CALLS))
+    def test_single_triple_calls_skip_the_step_memo(self, call):
+        # a generic window almost never repeats a backward step, so psi and
+        # the coordinate maps neither read nor fill the memo
+        run = SINGLE_TRIPLE_CALLS[call]
         psi_cache_clear()
         for _ in range(2):
-            psi(golden9["p"], golden9["q"], golden9["rho"])
+            run()
         info = psi_cache_info()
-        assert info.hits >= 1
-        assert info.currsize <= info.maxsize
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_cell_sweeps_share_the_step_memo(self):
+        psi_cache_clear()
+        first = distinguished_involutions((2, 1, 1), 4)
+        assert psi_cache_info().currsize > 0
+        assert distinguished_involutions((2, 1, 1), 4) == first
+        info = psi_cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize == 4096
+        psi_cache_clear()
+        cells._star_probe.cache_clear()
+        star_tabloid(Tabloid(5, ((1, 2, 4), (3, 5))), 2)
+        assert psi_cache_info().currsize > 0
 
     def test_row_count_needs_no_recursion(self):
         # 80 rows, 40 frames of headroom: a frame per row would overflow
@@ -495,7 +527,9 @@ class TestPsi:
 
     def test_holes_name_input(self, monkeypatch):
         # backward steps that place no ball leave every position empty
-        monkeypatch.setattr(matrixball, "_psi_rows", lambda p_rows, q_rows, rho, n: (None,) * n)
+        monkeypatch.setattr(
+            matrixball, "_psi_rows", lambda p_rows, q_rows, rho, n, step: (None,) * n
+        )
         t = canonical_tabloid((2, 1))
         msg = r"n=3, P=\(\(2, 3\), \(1,\)\), Q=\(\(2, 3\), \(1,\)\), rho=\(0, 1\)"
         with pytest.raises(InvariantError, match=msg):
