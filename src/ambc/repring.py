@@ -3,18 +3,18 @@ The representation ring side: tensor products of rational GL_m irreducibles
 with possibly negative highest weights, assembled block-wise into the ring
 attached to a partition (one GL factor per equal-part multiplicity).
 
-Products are computed by the Littlewood-Richardson rule: both weights are
-shifted by determinant powers until they are partitions, the labels of the
-factor with fewer boxes are placed on the other one in a single pass, each
+Products are computed by the Littlewood-Richardson rule on the weights as
+they are: the labels of the factor with fewer boxes above its last part are
+placed in a single pass on the other factor raised by that last part, each
 label's boxes as a horizontal strip whose row counts keep the lattice-word
-condition, and the shift is undone.  The Weyl dimension formula is included
-as a verification oracle.
+condition.  Strips read only differences of parts, so no weight is shifted
+to a partition and back.  The Weyl dimension formula is included as a
+verification oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Sequence
 
 from .affine import InvariantError, _trusted, check_gl_weight, check_partition, compact_json, parse_ints, read_json
@@ -83,83 +83,80 @@ def is_determinantal(lam: Sequence[int], rho: Sequence[int]) -> bool:
 # --- Littlewood-Richardson ----------------------------------------------------
 
 
-def _add_strips(kappa: tuple, prev: tuple, k: int, slack: int, nxt: dict, mult: int) -> None:
+def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     """
-    Add to ``nxt`` every way to put k boxes of the next label on ``kappa`` as
-    a horizontal strip, a_r boxes in row r, with the lattice condition
-    a_0 + ... + a_r <= prev_0 + ... + prev_{r-1} against the row counts
-    ``prev`` of the previous label (``slack`` is that bound's slack before
-    row 0).  Each result is keyed by its shape and its row counts.
-    """
-    rows = len(kappa)
-    last = kappa[-1]
-    stack = [(0, k, slack, ())]
-    while stack:
-        r, left, slack, adds = stack.pop()
-        if not left:
-            adds += (0,) * (rows - r)
-            key = (tuple(map(add, kappa, adds)), adds)
-            nxt[key] = nxt.get(key, 0) + mult
-            continue
-        hi = left if left < slack else slack
-        if r and kappa[r - 1] - kappa[r] < hi:
-            hi = kappa[r - 1] - kappa[r]
-        # the rows below r hold at most kappa[r] - last boxes of a strip
-        lo = left - kappa[r] + last
-        for a in range(lo if lo > 0 else 0, hi + 1):
-            stack.append((r + 1, left - a, slack - a + prev[r], adds + (a,)))
-
-
-def _lr_product(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """
-    Expand s_mu * s_nu over partitions with at most len(mu) rows, for
-    partitions mu and nu zero-padded to one length (every key is padded the
-    same way): place the labels 1, 2, ... of the factor with fewer boxes on
-    the other one, each label's boxes as a horizontal strip whose row counts
-    keep the lattice condition against the previous label's.  Equal (shape,
-    row counts) states merge with their multiplicities added.
+    Decompose the tensor product of the GL_m irreducibles with dominant
+    weights mu and nu of one length m (partitions included) by the
+    Littlewood-Richardson rule, without shifting either to a partition.
+    The factor with fewer boxes above its last part gives the labels, label
+    j + 1 with nu[j] - nu[-1] boxes, placed in turn on the other factor
+    raised by nu[-1]: each as a horizontal strip, a_r boxes in row r, whose
+    running row counts keep the lattice condition a_0 + ... + a_r <= prev_0
+    + ... + prev_{r-1} against the previous label's.  That condition keeps
+    label j + 1 out of the rows above row j; the last row takes what is
+    left.  Equal (weight, row counts) states merge with their multiplicities
+    added, the final label's by weight alone.
 
     >>> _lr_product((2, 1, 0), (2, 1, 0))[(3, 2, 1)]
     2
     """
-    if sum(nu) > sum(mu):
+    m = len(mu)
+    if sum(nu) - m * nu[-1] > sum(mu) - m * mu[-1]:
         mu, nu = nu, mu
-    zeros = (0,) * len(mu)
-    states = {(mu, zeros): 1}
-    for j, k in enumerate(nu):
-        if not k:
-            break
-        nxt: dict = {}
+    low = nu[-1]
+    raised = tuple(x + low for x in mu)
+    labels = [x - low for x in nu[:-1] if x > low]
+    if not labels:
+        return {raised: 1}
+    states = {(raised, (0,) * m): 1}
+    out: VirtualChar = {}
+    final = len(labels) - 1
+    for j, k in enumerate(labels):
+        nxt: dict = {} if j < final else out
         for (kappa, prev), mult in states.items():
             # label 1 is free of the lattice condition
-            _add_strips(kappa, prev, k, 0 if j else k, nxt, mult)
+            stack = [(j, k, prev[j - 1] if j else k, kappa[:j], (0,) * j)]
+            while stack:
+                r, left, slack, head, adds = stack.pop()
+                hi = left if left < slack else slack
+                if r and kappa[r - 1] - kappa[r] < hi:
+                    hi = kappa[r - 1] - kappa[r]
+                # the rows below r hold at most kappa[r] - kappa[-1] boxes
+                lo = left - kappa[r] + kappa[-1]
+                if lo < 0:
+                    lo = 0
+                if r == m - 2:
+                    if left > slack + prev[r]:  # the last row breaks the lattice condition
+                        continue
+                    for a in range(lo, hi + 1):
+                        key = head + (kappa[r] + a, kappa[-1] + left - a)
+                        if j < final:
+                            key = (key, adds + (a, left - a))
+                        nxt[key] = nxt.get(key, 0) + mult
+                    continue
+                for a in range(lo, hi + 1):
+                    if a == left:  # the strip is complete
+                        key = head + (kappa[r] + a,) + kappa[r + 1:]
+                        if j < final:
+                            key = (key, adds + (a,) + (0,) * (m - r - 1))
+                        nxt[key] = nxt.get(key, 0) + mult
+                    else:
+                        stack.append((r + 1, left - a, slack - a + prev[r], head + (kappa[r] + a,), adds + (a,)))
         states = nxt
-    out: dict[tuple[int, ...], int] = {}
-    for (kappa, _), mult in states.items():
-        out[kappa] = out.get(kappa, 0) + mult
     return out
 
 
 def tensor_gl(mu: Sequence[int], nu: Sequence[int]) -> VirtualChar:
     """
     Decompose the tensor product of the GL_m irreducibles with highest
-    weights mu and nu (entries may be negative).  Returns a map from
-    dominant weights to multiplicities.
+    weights mu and nu (entries may be negative) by ``_lr_product``.  Returns
+    a map from dominant weights to multiplicities.
 
     >>> sorted(tensor_gl((2, 1, 0), (2, 0, 0)))
     [(2, 2, 1), (3, 1, 1), (3, 2, 0), (4, 1, 0)]
     """
     mu = check_gl_weight(mu)
-    return _gl_product(mu, check_gl_weight(nu, len(mu)))
-
-
-def _gl_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
-    # tensor_gl of checked weights: shift to partitions, multiply, shift back
-    c1 = max(0, -mu[-1])
-    c2 = max(0, -nu[-1])
-    raw = _lr_product(tuple(x + c1 for x in mu), tuple(x + c2 for x in nu))
-    shift = c1 + c2
-    return {tuple(x - shift for x in kappa): coeff for kappa, coeff in raw.items()}
+    return _lr_product(mu, check_gl_weight(nu, len(mu)))
 
 
 def tensor_f(r1: FWeight, r2: FWeight) -> VirtualChar:
@@ -180,7 +177,7 @@ def _block_product(blocks1, blocks2) -> list[tuple[tuple[GLWeight, ...], int]]:
     """
     combos: list[tuple[tuple[GLWeight, ...], int]] = [((), 1)]
     for b1, b2 in zip(blocks1, blocks2):
-        factor = _gl_product(b1, b2)
+        factor = _lr_product(b1, b2)
         for kappa in factor:
             if any(x < y for x, y in zip(kappa, kappa[1:])):
                 raise InvariantError(f"tensor product of {b1} and {b2} gave the non-dominant weight {kappa}")

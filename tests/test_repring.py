@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ambc.affine import format_ints
+from ambc import repring
+from ambc.affine import InvariantError, format_ints
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
@@ -35,6 +36,14 @@ def lr_reference(mu, nu, m):
     """``lr_by_tableaux`` with its shapes zero-padded to m rows, as
     ``_lr_product`` gives them."""
     return {k + (0,) * (m - len(k)): c for k, c in lr_by_tableaux(mu, nu, m).items()}
+
+
+def gl_reference(mu, nu):
+    """``lr_reference`` on the weights lowered to last part 0, its shapes
+    raised back by both last parts."""
+    low = mu[-1] + nu[-1]
+    lowered = (tuple(x - w[-1] for x in w) for w in (mu, nu))
+    return {tuple(x + low for x in k): c for k, c in lr_reference(*lowered, len(mu)).items()}
 
 
 class TestTensorGL:
@@ -134,6 +143,30 @@ class TestLRReference:
                 count += 1
         assert count == 1475
 
+    def test_all_weights_rank_four(self):
+        # positive last parts, factors with equal box counts and factors the
+        # kernel swaps, none of which the partition boxes above reach often
+        count = 0
+        for mu, nu in itertools.product(all_weights(4, -2, 2), repeat=2):
+            assert tensor_gl(mu, nu) == gl_reference(mu, nu), (mu, nu)
+            count += 1
+        assert count == 4900
+
+    def test_seeded_long_blocks(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            lengths = [rng.randint(5, 7) for _ in range(rng.randint(1, 2))]
+            lam = tuple(part for i, b in enumerate(lengths) for part in (len(lengths) - i,) * b)
+            r1, r2 = (FWeight(lam, tuple(random_weight(rng, b, -1, 2) for b in lengths)) for _ in range(2))
+            expected = {(): 1}
+            for b1, b2 in zip(r1.blocks, r2.blocks):
+                expected = {
+                    blocks + (w,): c * mult
+                    for blocks, c in expected.items()
+                    for w, mult in gl_reference(b1, b2).items()
+                }
+            assert tensor_f(r1, r2) == {FWeight(lam, blocks): c for blocks, c in expected.items()}, (r1, r2)
+
 
 class TestDimensions:
     def test_known_values(self):
@@ -213,6 +246,14 @@ class TestTensorF:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             tensor_f(zero_fweight((2, 1)), zero_fweight((3,)))
+
+    def test_non_dominant_factor_names_blocks(self, monkeypatch):
+        monkeypatch.setattr(repring, "_lr_product", lambda mu, nu: {(0, 1): 1})
+        r1 = FWeight((2, 2, 1), ((1, 0), (2,)))
+        r2 = FWeight((2, 2, 1), ((0, -3), (-1,)))
+        msg = r"tensor product of \(1, 0\) and \(0, -3\) gave the non-dominant weight \(0, 1\)"
+        with pytest.raises(InvariantError, match=msg):
+            tensor_f(r1, r2)
 
 
 class TestDeterminantal:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ambc.affine import format_ints, partitions
 from ambc.cells import star_right, star_tabloid
-from ambc.matrixball import phi, psi
+from ambc.matrixball import _psi_perm, _psi_step, phi
 from ambc.tabloids import (
     Tabloid,
     _lch_pair,
@@ -266,7 +266,9 @@ class TestStarTabloid:
                 for p in tabs:
                     s = offset_constants(p, t)
                     for diff in dominant_diffs(lam):
-                        cell.append(psi(p, t, tuple(d + c for d, c in zip(diff, s))))
+                        # the memo-sharing row loop: members share lower rows
+                        rho = tuple(d + c for d, c in zip(diff, s))
+                        cell.append(_psi_perm(p.rows, t.rows, rho, 4, _psi_step))
                 for i in range(1, 5):
                     moved = (star_right(w, i) for w in cell)
                     images[t, i] = {phi(ws).q for ws in moved if ws is not None}
