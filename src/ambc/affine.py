@@ -16,7 +16,6 @@ stored as integers in 1..n.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass, fields
@@ -131,11 +130,6 @@ def shift(n: int, power: int = 1) -> AffinePerm:
     return AffinePerm(n, tuple(i + power for i in range(1, n + 1)))
 
 
-def longest_finite(n: int) -> AffinePerm:
-    """The longest element of the finite symmetric group, window [n,...,1]."""
-    return AffinePerm(n, tuple(range(n, 0, -1)))
-
-
 def compose(u: AffinePerm, v: AffinePerm) -> AffinePerm:
     """
     The product u * v, i.e. i -> u(v(i)).
@@ -165,12 +159,6 @@ def _inverse_window(win: tuple[int, ...], n: int) -> tuple[int, ...]:
         # w(i) = v means inverse(v) = i, so inverse(r+1) = i - q*n
         out[r] = i - q * n
     return tuple(out)
-
-
-def conjugate_by_shift(w: AffinePerm, power: int = 1) -> AffinePerm:
-    """omega^power * w * omega^-power."""
-    om = shift(w.n, power)
-    return compose(compose(om, w), inverse(om))
 
 
 def descents_right(w: AffinePerm) -> frozenset[int]:
@@ -313,12 +301,6 @@ def min_double_coset_rep(w: AffinePerm) -> AffinePerm:
     mu = window_diagonals(w)
     u = from_dominant_weight(mu)
     return AffinePerm(w.n, tuple(sorted(u.window)))
-
-
-def finite_permutations(n: int) -> Iterable[AffinePerm]:
-    """All elements of the finite symmetric group inside period n."""
-    for p in itertools.permutations(range(1, n + 1)):
-        yield AffinePerm(n, p)
 
 
 # --- text formats -----------------------------------------------------------

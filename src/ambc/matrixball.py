@@ -15,10 +15,10 @@ that order, found by one candidate pass and one checking pass.
 
 The forward step numbers the balls by longest reverse paths out of the
 southwest channel, groups equal labels into zigzags, and replaces each
-zigzag by its outer corner-posts, emitting one stream ball per zigzag.  The
-backward step inverts this against a prescribed compatible stream.  Iterating
-gives the forward map ``phi`` (permutation to dominant triple) and the
-backward map ``psi`` (triple to permutation).
+zigzag by its outer corner-posts, emitting one stream ball per zigzag; one
+chain of balls, or one zigzag (density 1), needs no channel search.  The
+backward step inverts this against a prescribed compatible stream, with no
+numbering from the empty window.  Iterating gives ``phi`` and ``psi``.
 
 Positions stay with the balls; values move along the zigzag.  Every
 corner-post a step makes shares its row with one ball of its zigzag, so the
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, lt
 from typing import Optional, Sequence
 
 from .affine import (
@@ -462,16 +462,42 @@ def _zigzags(xs: list, vs: list, lab: list, n: int, d: int) -> list:
     return out
 
 
+def _one_zigzag(xs: list, vs: list, n: int) -> Optional[list]:
+    """The zigzag ``_zigzags`` builds for a step of density 1, or None.  In
+    value order, each ball moves by the least k(n, n), k = (x - x_prev) // n
+    + 1, that puts it strictly north of the one before; the walk fails when a
+    moved value does not rise.  At density 1, dominance between single balls
+    is the value order, so the lowest ball is the southwest channel and starts
+    the walk.  Success implies density 1: balls i < j with v_i < v_j < v_i + n
+    force k_j >= k_i + 1, so the moved v_j - v_i is below 0 and the walk fails."""
+    (v, x), *rest = sorted(zip(vs, xs))
+    zig = [(x, v, x)]
+    for v, x in rest:
+        px, pv, _ = zig[-1]
+        kn = ((x - px) // n + 1) * n
+        if v - kn <= pv:
+            return None
+        zig.append((x - kn, v - kn, x))
+    return zig
+
+
 def _forward_win(win: Win, n: int) -> tuple[Win, tuple[tuple[int, int], ...]]:
     """One forward step: a zigzag of balls (x_i, y_i, p_i), x descending,
     leaves the outer posts (x_i, y_{i+1}) at the positions p_i and the stream
-    ball (x_r, y_0) at p_r, for its last ball r."""
+    ball (x_r, y_0) at p_r, for its last ball r.  No channel is searched when
+    the values rise by less than n in all (one chain, each ball its own
+    zigzag: the window empties into the stream) or when ``_one_zigzag`` walks
+    the one zigzag of a step of density 1."""
     xs, vs = _balls(win)
-    chan = _southwest_channel(xs, vs, n)
-    lab = _channel_labels(xs, vs, chan, n)
+    if vs[-1] - vs[0] < n and all(map(lt, vs, vs[1:])):
+        return (None,) * n, tuple(zip(xs, vs))
+    zigzags = [_one_zigzag(xs, vs, n)]
+    if zigzags[0] is None:
+        chan = _southwest_channel(xs, vs, n)
+        zigzags = _zigzags(xs, vs, _channel_labels(xs, vs, chan, n), n, len(chan))
     out = list(win)
     spairs = []
-    for balls in _zigzags(xs, vs, lab, n, len(chan)):  # each holds a channel ball
+    for balls in zigzags:  # each holds a channel ball
         for (x, _, p), (_, y, _) in zip(balls, balls[1:]):
             out[p - 1] = y + p - x
         x, _, p = balls[-1]
@@ -620,11 +646,13 @@ def _check_compatible(w: PartialPerm, s: Stream) -> None:
 def _bk_win(win: Win, n: int, spairs) -> Win:
     """One backward step: stream ball (sx, sy) and its zigzag of balls
     (x_i, y_i, p_i), x descending, give the inner posts (x_1, sy), (x_2, y_1),
-    ... at the positions p_i, and (sx, y_r), placed as a stream ball."""
+    ... at the positions p_i, and (sx, y_r), placed as a stream ball.  From
+    the empty window the zigzags are empty: no numbering is computed."""
     xs, vs = _balls(win)
-    lab = _bk_labels(xs, vs, spairs, n)
+    d = len(spairs)
+    zigzags = _zigzags(xs, vs, _bk_labels(xs, vs, spairs, n), n, d) if xs else [()] * d
     out = list(win)
-    for (sx, sy), balls in zip(spairs, _zigzags(xs, vs, lab, n, len(spairs))):
+    for (sx, sy), balls in zip(spairs, zigzags):
         y = sy
         for x, v, p in balls:
             out[p - 1] = y + p - x

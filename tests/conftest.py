@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from ambc.affine import partitions
+from ambc.affine import AffinePerm, compose, inverse, partitions, shift
 from ambc.matrixball import psi
 from ambc.tabloids import Tabloid, enumerate_tabloids, equal_part_runs, offset_constants
 
@@ -58,6 +58,37 @@ def small_windows(max_n=4):
         for perm in itertools.permutations(range(1, n + 1)):
             for shifts in itertools.product((-1, 0, 1), repeat=n):
                 yield tuple(v + n * s for v, s in zip(perm, shifts)), n
+
+
+def small_partial_windows(max_n):
+    """(window, n) of every window with n <= max_n, shifts in {-1, 0, 1}
+    and at least one ball, the others holes."""
+    for n in range(1, max_n + 1):
+        for where in itertools.product((False, True), repeat=n):
+            k = sum(where)
+            if not k:
+                continue
+            for perm in itertools.permutations(range(1, n + 1), k):
+                for shifts in itertools.product((-1, 0, 1), repeat=k):
+                    vals = iter(v + n * s for v, s in zip(perm, shifts))
+                    yield tuple(next(vals) if p else None for p in where), n
+
+
+def longest_finite(n):
+    """The longest element of the finite symmetric group, window [n,...,1]."""
+    return AffinePerm(n, tuple(range(n, 0, -1)))
+
+
+def conjugate_by_shift(w, power=1):
+    """omega^power * w * omega^-power."""
+    om = shift(w.n, power)
+    return compose(compose(om, w), inverse(om))
+
+
+def finite_permutations(n):
+    """All elements of the finite symmetric group inside period n."""
+    for p in itertools.permutations(range(1, n + 1)):
+        yield AffinePerm(n, p)
 
 
 def small_partitions(max_n):

@@ -20,7 +20,6 @@ from ambc.affine import (
     identity,
     inverse,
     is_nonextended,
-    longest_finite,
     longest_parabolic,
     min_double_coset_rep,
     parse_int,
@@ -31,6 +30,8 @@ from ambc.affine import (
     shift,
     window_diagonals,
 )
+
+from conftest import longest_finite
 
 
 @st.composite

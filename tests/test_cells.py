@@ -6,9 +6,7 @@ from ambc import cells
 from ambc.affine import (
     AffinePerm,
     InvariantError,
-    conjugate_by_shift,
     descents_right,
-    finite_permutations,
     identity,
     inverse,
     longest_parabolic,
@@ -39,7 +37,7 @@ from ambc.tabloids import (
     rev_lambda,
 )
 
-from conftest import dominant_diffs, random_cell_element
+from conftest import conjugate_by_shift, dominant_diffs, finite_permutations, random_cell_element
 
 
 class TestCellShape:

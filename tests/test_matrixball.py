@@ -24,8 +24,12 @@ from ambc.matrixball import (
     _bk_win,
     _channel_labels,
     _dominates_from_ne,
+    _forward_win,
+    _max_density,
+    _one_zigzag,
     _psi_rows,
     _southwest_channel,
+    _zigzags,
     backward_numbering,
     backward_step,
     channel_numbering,
@@ -58,6 +62,7 @@ from conftest import (
     dominant_diffs,
     one_column_triple,
     random_cell_element,
+    small_partial_windows,
     small_windows,
     stack_headroom,
 )
@@ -288,11 +293,21 @@ class TestForwardStep:
                 todo.append(out.window)
 
     def test_zigzag_order_names_input(self, monkeypatch):
-        # one label on a chain of two balls: the zigzag's values descend
-        monkeypatch.setattr(matrixball, "_channel_labels", lambda xs, vs, chan, n: [1, 1])
-        msg = r"n=2, d=2, balls=\[\(1, 1\), \(2, 2\)\], labels=\[1, 1\]"
+        # one label on three balls of density 2 that are not one chain: the
+        # zigzag's values descend
+        monkeypatch.setattr(matrixball, "_channel_labels", lambda xs, vs, chan, n: [1, 1, 1])
+        msg = r"n=3, d=2, balls=\[\(1, 2\), \(2, 1\), \(3, 3\)\], labels=\[1, 1, 1\]"
         with pytest.raises(InvariantError, match=msg):
-            forward_step(PartialPerm(2, (1, 2)))
+            forward_step(PartialPerm(3, (2, 1, 3)))
+
+    def test_one_chain_streams_every_ball(self, monkeypatch):
+        # values rising by less than n in all: the step searches no channel,
+        # empties the window and streams the balls themselves
+        monkeypatch.setattr(matrixball, "_southwest_channel", None)
+        monkeypatch.setattr(matrixball, "_one_zigzag", None)
+        out, stream = forward_step(PartialPerm(5, (None, 2, 4, None, 6)))
+        assert out.window == (None,) * 5
+        assert stream.pairs == ((2, 2), (3, 4), (5, 6))
 
 
 class TestPhi:
@@ -424,6 +439,12 @@ class TestBackwardStep:
         out = backward_step(PartialPerm(4, (None,) * 4), s)
         assert out.window == (4, 5, 6, 7)
 
+    def test_from_empty_numbers_nothing(self, monkeypatch):
+        # the first step of every psi places the stream balls as they are
+        monkeypatch.setattr(matrixball, "_bk_labels", None)
+        out = backward_step(PartialPerm(4, (None,) * 4), make_stream((1, 3), (2, 4), 1, 4))
+        assert out.window == (4, None, 6, None)
+
     def test_forward_inverts(self, golden9):
         w = AffinePerm(9, golden9["w"])
         partial, stream = forward_step(w)
@@ -457,6 +478,60 @@ class TestBackwardStep:
         )
         with pytest.raises(InvariantError, match=msg):
             _bk_win((1, None), 2, ((1, 2),))
+
+
+def _general_zigzags(xs, vs, n):
+    chan = _southwest_channel(xs, vs, n)
+    return _zigzags(xs, vs, _channel_labels(xs, vs, chan, n), n, len(chan))
+
+
+def density_one_windows(rng, count, max_n=12):
+    """Seeded partial windows of density 1 with n <= max_n and spreads 1-8:
+    values first, then positions in window order, each taken by a ball with
+    no value above it by less than n still unplaced."""
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        spread = rng.randint(1, 8)
+        left = [r + n * rng.randint(-spread, spread) for r in rng.sample(range(1, n + 1), rng.randint(1, n))]
+        win = [None] * n
+        for p in sorted(rng.sample(range(n), len(left))):
+            v = rng.choice([v for v in left if not any(v < u < v + n for u in left)])
+            left.remove(v)
+            win[p] = v
+        yield tuple(win), n
+
+
+class TestClosedFormSteps:
+    """The one-chain and density-1 forward steps against the general path:
+    southwest channel, channel numbering and zigzags."""
+
+    def check(self, windows, monkeypatch):
+        closed = []
+        for win, n in windows:
+            xs, vs = _balls(win)
+            zig = _one_zigzag(xs, vs, n)
+            assert (zig is not None) == (_max_density(win, n) == 1), win
+            if zig is not None:
+                assert [zig] == _general_zigzags(xs, vs, n), win
+                closed.append((win, n, _forward_win(win, n)))
+            if vs[-1] - vs[0] < n and vs == sorted(vs):
+                assert _general_zigzags(xs, vs, n) == [[(x, v, x)] for x, v in zip(xs, vs)], win
+                assert _forward_win(win, n) == ((None,) * n, tuple(zip(xs, vs))), win
+        # the same steps with the walk switched off take the general path
+        monkeypatch.setattr(matrixball, "_one_zigzag", lambda xs, vs, n: None)
+        for win, n, out in closed:
+            assert _forward_win(win, n) == out, win
+        return len(closed)
+
+    def test_exhaustive_small(self, monkeypatch):
+        # every window with holes, n <= 5 and shifts in {-1, 0, 1}
+        wins = list(small_partial_windows(5))
+        assert len(wins) == 101_451
+        assert self.check(wins, monkeypatch) == 17_192
+
+    def test_seeded_density_one(self, monkeypatch):
+        wins = list(density_one_windows(random.Random(83), 2000))
+        assert self.check(wins, monkeypatch) == 2000
 
 
 GOLDEN_WINDOW = AffinePerm(9, (3, 7, 14, 2, 18, 4, 19, 8, 6))
