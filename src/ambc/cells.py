@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .affine import AffinePerm, _trusted, inverse, residue
+from .affine import AffinePerm, InvariantError, _trusted, inverse, residue
 from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, _psi_step, phi
 from .repring import FWeight
 from .tabloids import (
@@ -29,6 +29,7 @@ from .tabloids import (
     enumerate_tabloids,
     equal_part_runs,
     offset_constants,
+    omega_rows,
 )
 
 
@@ -64,17 +65,6 @@ def left_cell(w: AffinePerm) -> Tabloid:
 def right_cell(w: AffinePerm) -> Tabloid:
     """The tabloid P(w) labeling the right cell of w."""
     return phi(w).p
-
-
-def cell_label(w: AffinePerm, kind: str) -> CellLabel:
-    if kind not in ("two_sided", "left", "right"):
-        raise ValueError(f"bad cell kind {kind!r}")
-    t = phi(w)
-    if kind == "two_sided":
-        return CellLabel(kind, t.shape())
-    if kind == "left":
-        return CellLabel(kind, t.shape(), t.q)
-    return CellLabel(kind, t.shape(), t.p)
 
 
 def star_right(w: AffinePerm, i: int) -> Optional[AffinePerm]:
@@ -127,23 +117,28 @@ def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
     Decided by probing the cell along the diagonal: the words psi(t, t, rho)
     for every rho in {-1, 0, 1}^k that weakly increases on each run of equal
     parts of the shape.  Whether these probes see every image of the cell is
-    open.  Results are cached per (tabloid, residue).
+    open.  Conjugation by omega carries psi(t, t, rho) to
+    psi(omega t, omega t, rho) and the move at i to the move at i + 1, so the
+    probe runs at residue 1 on omega^(1-i)(t) and its image is rotated back:
+    the probe cache holds at most one entry per tabloid.
     """
     n = t.n
     if n < 3:
         return None
     i = residue(i, n)
-    hit = _star_probe(n, t.rows, i)
-    if hit is None or _star_probe(n, hit, i) != t.rows:
+    rows = omega_rows(t.rows, n, 1 - i)
+    hit = _star_probe(n, rows, 1)
+    if hit is None or _star_probe(n, hit, 1) != rows:
         return None
-    return Tabloid(n, hit)
+    return Tabloid(n, omega_rows(hit, n, i - 1))
 
 
 @lru_cache(maxsize=None)
 def _star_probe(n: int, rows: Rows, i: int) -> Optional[Rows]:
     """The rows with residues i and i+1 swapped if every star move at i of
     psi(rows, rows, rho), over the probe altitudes rho, has that Q-tabloid;
-    otherwise None."""
+    otherwise None.  Cached per (tabloid, residue); ``star_tabloid`` asks
+    only at residue 1."""
     j = i % n + 1
     if any(i in row and j in row for row in rows):
         return None
@@ -186,10 +181,38 @@ def is_distinguished(w: AffinePerm) -> bool:
 def distinguished_involutions(lam: Sequence[int], n: int) -> list[AffinePerm]:
     """
     The distinguished involutions of the two-sided cell of shape lam: the
-    backward images of (T, T, 0) over all row-standard tabloids T.
+    backward images of (T, T, 0) over all row-standard tabloids T, in the
+    order of ``enumerate_tabloids``.
+
+    psi(omega T, omega T, 0) = omega psi(T, T, 0) omega^-1, so psi runs once
+    per omega-orbit of tabloids, on its first member, and the other members
+    are conjugates.  An orbit whose conjugates do not close up on its first
+    window is an InvariantError naming n, the shape and the tabloid.
     """
-    zero = (0,) * len(tuple(lam))
-    return [_psi_perm(t.rows, t.rows, zero, n, _psi_step) for t in enumerate_tabloids(lam, n)]
+    lam = tuple(lam)
+    tabs = [t.rows for t in enumerate_tabloids(lam, n)]
+    zero = (0,) * len(lam)
+    found: dict[Rows, AffinePerm] = {}
+    for first in tabs:
+        if first in found:
+            continue
+        w = _psi_perm(first, first, zero, n, _psi_step)
+        rows = first
+        while rows not in found:  # orbits are disjoint: this stops at first
+            found[rows] = w
+            rows = omega_rows(rows, n)
+            w = AffinePerm(n, _omega_window(w.window, n))
+        if w != found[first]:
+            raise InvariantError(
+                f"conjugation by omega does not close the orbit of psi(T, T, 0): "
+                f"n={n}, shape={lam}, T={first}"
+            )
+    return [found[rows] for rows in tabs]
+
+
+def _omega_window(win: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The window of omega w omega^-1: (w(n) - n + 1, w(1) + 1, ..., w(n-1) + 1)."""
+    return (win[-1] - n + 1,) + tuple(v + 1 for v in win[:-1])
 
 
 def upsilon(w: AffinePerm) -> tuple[Tabloid, Tabloid, FWeight]:

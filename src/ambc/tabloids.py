@@ -247,8 +247,9 @@ def omega_tabloid(t: Tabloid) -> Tabloid:
     return Tabloid(t.n, omega_rows(t.rows, t.n))
 
 
-def omega_rows(rows: Rows, n: int) -> Rows:
-    return tuple(tuple(sorted(x % n + 1 for x in row)) for row in rows)
+def omega_rows(rows: Rows, n: int, power: int = 1) -> Rows:
+    """The rows of omega^power(T): residue x goes to x + power mod n."""
+    return tuple(tuple(sorted((x + power - 1) % n + 1 for x in row)) for row in rows)
 
 
 def iota_vec(t: Tabloid, i: int) -> RowVector:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import settings
 
 from ambc.affine import AffinePerm, compose, inverse, partitions, shift
-from ambc.matrixball import psi
+from ambc.cells import CellLabel
+from ambc.matrixball import phi, psi
 from ambc.tabloids import Tabloid, enumerate_tabloids, equal_part_runs, offset_constants
 
 # Every @given test draws the same examples on every run and writes no
@@ -83,6 +84,19 @@ def conjugate_by_shift(w, power=1):
     """omega^power * w * omega^-power."""
     om = shift(w.n, power)
     return compose(compose(om, w), inverse(om))
+
+
+def cell_label(w, kind):
+    """The two-sided, left or right CellLabel of w; a bad kind is a
+    ValueError before phi runs."""
+    if kind not in ("two_sided", "left", "right"):
+        raise ValueError(f"bad cell kind {kind!r}")
+    t = phi(w)
+    if kind == "two_sided":
+        return CellLabel(kind, t.shape())
+    if kind == "left":
+        return CellLabel(kind, t.shape(), t.q)
+    return CellLabel(kind, t.shape(), t.p)
 
 
 def finite_permutations(n):

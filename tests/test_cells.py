@@ -16,7 +16,6 @@ from ambc.affine import (
 )
 from ambc.cells import (
     CellLabel,
-    cell_label,
     cell_shape,
     distinguished_involutions,
     is_distinguished,
@@ -27,7 +26,7 @@ from ambc.cells import (
     star_tabloid,
     xi_epsilon,
 )
-from ambc.matrixball import phi, psi
+from ambc.matrixball import _psi_perm, _psi_step, phi, psi
 from ambc.oracles import epsilon_from_families
 from ambc.tabloids import (
     anticanonical_tabloid,
@@ -37,7 +36,8 @@ from ambc.tabloids import (
     rev_lambda,
 )
 
-from conftest import conjugate_by_shift, dominant_diffs, finite_permutations, random_cell_element
+import conftest
+from conftest import cell_label, conjugate_by_shift, dominant_diffs, finite_permutations, random_cell_element
 
 
 class TestCellShape:
@@ -65,7 +65,7 @@ class TestCellShape:
         def failing_phi(w):
             raise InvariantError(f"phi called on {w}")
 
-        monkeypatch.setattr(cells, "phi", failing_phi)
+        monkeypatch.setattr(conftest, "phi", failing_phi)
         with pytest.raises(InvariantError):
             cell_label(identity(3), "left")
         with pytest.raises(ValueError, match="bad cell kind 'bogus'"):
@@ -163,6 +163,33 @@ class TestDistinguished:
                 for w in invs:
                     assert inverse(w) == w
                     assert is_distinguished(w)
+
+    def test_rotation_matches_definition(self):
+        # one psi per omega-orbit, the rest by conjugation: the same list as
+        # psi(T, T, 0) over every tabloid, in order (the reference is psi's
+        # row loop on the shared step memo, so lower rows run once)
+        for n in range(1, 8):
+            for lam in partitions(n):
+                zero = (0,) * len(lam)
+                expected = [_psi_perm(t.rows, t.rows, zero, n, _psi_step) for t in enumerate_tabloids(lam)]
+                assert distinguished_involutions(lam, n) == expected
+
+    def test_window_conjugation_matches_definition(self):
+        rng = random.Random(24)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            values = rng.sample(range(1, n + 1), n)
+            w = AffinePerm(n, tuple(v + n * rng.randint(-3, 3) for v in values))
+            assert cells._omega_window(w.window, n) == conjugate_by_shift(w).window
+
+    def test_unclosed_orbit_names_input(self, monkeypatch):
+        # a rotation that adds n to every value never closes an orbit of
+        # length > 1: the first such orbit of shape (2, 1) is that of
+        # ((1, 2), (3,))
+        monkeypatch.setattr(cells, "_omega_window", lambda win, n: tuple(v + n for v in win))
+        msg = r"n=3, shape=\(2, 1\), T=\(\(1, 2\), \(3,\)\)"
+        with pytest.raises(InvariantError, match=msg):
+            distinguished_involutions((2, 1), 3)
 
     def test_single_column_contains_longest(self):
         n = 4

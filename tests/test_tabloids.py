@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambc import cells
 from ambc.affine import format_ints, partitions
 from ambc.cells import star_right, star_tabloid
 from ambc.matrixball import _psi_perm, _psi_step, phi
@@ -21,6 +23,7 @@ from ambc.tabloids import (
     is_dominant_wrt,
     local_charge,
     offset_constants,
+    omega_rows,
     omega_tabloid,
     parse_shape,
     parse_tabloid,
@@ -213,6 +216,14 @@ class TestOmega:
         t = Tabloid(5, ((1, 2, 3, 4, 5),))
         assert omega_tabloid(t) == t
 
+    def test_power_is_repeated_shift(self, golden9):
+        rows = golden9["q"].rows
+        for k in range(-10, 11):
+            t = golden9["q"]
+            for _ in range(k % 9):
+                t = omega_tabloid(t)
+            assert omega_rows(rows, 9, k) == t.rows, k
+
 
 class TestStarTabloid:
     def test_golden(self, golden9):
@@ -253,6 +264,34 @@ class TestStarTabloid:
                             continue
                         assert t.row_of(i) != t.row_of(i % n + 1)
                         assert s == swap_residues(t, i)
+
+    def test_probe_cache_holds_one_entry_per_tabloid(self):
+        # every residue is probed as residue 1, so the 246 tabloids at n = 5
+        # bound the cache, not the 1,230 (tabloid, residue) pairs
+        cells._star_probe.cache_clear()
+        for lam in partitions(5):
+            for t in enumerate_tabloids(lam):
+                for i in range(1, 6):
+                    star_tabloid(t, i)
+        assert cells._star_probe.cache_info().currsize <= 246
+
+    def test_rotation_matches_probe_at_each_residue(self):
+        # star_tabloid probes at residue 1 on a rotated tabloid; the reference
+        # probes at residue i itself, memoized so each probe runs once
+        probe = functools.cache(cells._star_probe.__wrapped__)
+
+        def reference(t, i):
+            hit = probe(t.n, t.rows, i)
+            return None if hit is None or probe(t.n, hit, i) != t.rows else Tabloid(t.n, hit)
+
+        cases = [
+            (t, i) for n in (3, 4, 5) for lam in partitions(n) for t in enumerate_tabloids(lam) for i in range(1, n + 1)
+        ]
+        six = [t for lam in partitions(6) for t in enumerate_tabloids(lam)]
+        rng = random.Random(24)
+        cases += [(rng.choice(six), rng.randint(1, 6)) for _ in range(20)]
+        for t, i in cases:
+            assert star_tabloid(t, i) == reference(t, i), (t.rows, i)
 
     def test_matches_cell_level_ground_truth(self):
         # exhaustive n=4, both directions: T*(t, i) is the swap s exactly when
