@@ -31,8 +31,8 @@ from .affine import (
     window_diagonals,
 )
 from .cells import _from_coordinates, upsilon
-from .repring import FWeight, fweight_from_json, zero_fweight
-from .tabloids import _canonical_rows, canonical_tabloid, equal_part_runs
+from .repring import FWeight, fweight_from_json
+from .tabloids import _canonical_rows, canonical_tabloid
 
 
 @dataclass(frozen=True)
@@ -140,24 +140,6 @@ def mu_lambda(lam: Sequence[int], r: int, s: int) -> tuple[int, ...]:
     (2, 2, 2, 0, -1, -1, -2)
     """
     return tuple(sorted((x for row in w_tableau(lam, r, s) for x in row), reverse=True))
-
-
-def rho_lambda(lam: Sequence[int], r: int, s: int) -> FWeight:
-    """The generator weight: (s, 0, ..., 0) on the factor of part size r,
-    zero elsewhere."""
-    if r not in lam:
-        raise ValueError(f"{r} is not a part of {lam}")
-    blocks = []
-    for a, b in equal_part_runs(lam):
-        if lam[a] == r:
-            blocks.append((s,) + (0,) * (b - a - 1))
-        else:
-            blocks.append((0,) * (b - a))
-    return FWeight(lam, tuple(blocks))
-
-
-def zero_pair(lam: Sequence[int]) -> LVPair:
-    return LVPair(tuple(lam), zero_fweight(lam))
 
 
 # --- text format -----------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .affine import InvariantError, _trusted, check_gl_weight, check_partition, compact_json, parse_ints, read_json
+from .affine import InvariantError, _trusted, check_gl_weight, check_partition, parse_ints, read_json
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -65,10 +65,6 @@ def fweight_from_rows(lam: Sequence[int], vec: Sequence[int]) -> FWeight:
     if len(vec) != len(lam):
         raise ValueError(f"vector length {len(vec)} != rows {len(lam)}")
     return FWeight(lam, tuple(vec[a:b] for a, b in equal_part_runs(lam)))
-
-
-def zero_fweight(lam: Sequence[int]) -> FWeight:
-    return FWeight(lam, tuple((0,) * (b - a) for a, b in equal_part_runs(lam)))
 
 
 def is_determinantal(lam: Sequence[int], rho: Sequence[int]) -> bool:
@@ -218,10 +214,6 @@ def dim_f(fw: FWeight) -> int:
 def parse_gl_weight(text: str) -> GLWeight:
     """Parse a comma list like "2,1,0" into a dominant weight."""
     return check_gl_weight(parse_ints(text, "weight"))
-
-
-def format_fweight(fw: FWeight) -> str:
-    return compact_json({"shape": fw.shape, "blocks": fw.blocks})
 
 
 def parse_fweight(text: str) -> FWeight:

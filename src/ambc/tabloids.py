@@ -28,7 +28,6 @@ from typing import Iterator, Optional, Sequence
 from .affine import (
     _is_int,
     check_partition,
-    compact_json,
     conjugate_partition,
     parse_ints,
     read_json,
@@ -306,11 +305,6 @@ def count_tabloids(lam: Sequence[int]) -> int:
 
 
 # --- text formats ------------------------------------------------------------
-
-
-def format_tabloid(t: Tabloid) -> str:
-    """Nested-bracket rows, e.g. "[[2,4,6],[3,7,8],[1,5,9]]"."""
-    return compact_json(t.rows)
 
 
 def parse_tabloid(text: str, n: Optional[int] = None) -> Tabloid:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import itertools
 import random
@@ -7,15 +8,25 @@ import sys
 import pytest
 from hypothesis import settings
 
-from ambc.affine import AffinePerm, compose, inverse, partitions, shift
+from ambc import jring
+from ambc.affine import AffinePerm, compact_json, compose, inverse, partitions, shift
 from ambc.cells import CellLabel
+from ambc.lusztig_vogan import LVPair
 from ambc.matrixball import phi, psi
+from ambc.repring import FWeight
 from ambc.tabloids import Tabloid, enumerate_tabloids, equal_part_runs, offset_constants
 
 # Every @given test draws the same examples on every run and writes no
 # example database, so tier-1 stays deterministic and leaves no files.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def cold_coordinate_memo():
+    """Every test starts with an empty J-ring factor memo, so a test that
+    counts or breaks forward maps sees each of them run."""
+    jring._coordinates.cache_clear()
 
 
 # The worked nine-residue example used as a golden fixture throughout.
@@ -39,10 +50,16 @@ def dominant_diffs(lam, lo=-2, hi=2):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def tabloids_of(lam: tuple) -> tuple:
+    """Every tabloid of shape lam, in ``enumerate_tabloids`` order."""
+    return tuple(enumerate_tabloids(lam))
+
+
 def random_cell_element(rng: random.Random, lam, tabs=None, p=None, q=None, spread=2):
     """A random element with prescribed cell data, via the backward map."""
 
-    tabs = tabs if tabs is not None else list(enumerate_tabloids(lam))
+    tabs = tabs if tabs is not None else tabloids_of(tuple(lam))
     p = p if p is not None else rng.choice(tabs)
     q = q if q is not None else rng.choice(tabs)
     s = offset_constants(p, q)
@@ -124,3 +141,34 @@ def one_column_triple(k):
     """A triple of shape (1^k): k one-ball rows, so psi takes k backward steps."""
     t = Tabloid(k, tuple((i,) for i in range(1, k + 1)))
     return t, t, (0,) * k
+
+
+def format_tabloid(t: Tabloid) -> str:
+    """Nested-bracket rows, e.g. "[[2,4,6],[3,7,8],[1,5,9]]"."""
+    return compact_json(t.rows)
+
+
+def format_fweight(fw: FWeight) -> str:
+    return compact_json({"shape": fw.shape, "blocks": fw.blocks})
+
+
+def zero_fweight(lam) -> FWeight:
+    return FWeight(lam, tuple((0,) * (b - a) for a, b in equal_part_runs(lam)))
+
+
+def rho_lambda(lam, r: int, s: int) -> FWeight:
+    """The generator weight: (s, 0, ..., 0) on the factor of part size r,
+    zero elsewhere."""
+    if r not in lam:
+        raise ValueError(f"{r} is not a part of {lam}")
+    blocks = []
+    for a, b in equal_part_runs(lam):
+        if lam[a] == r:
+            blocks.append((s,) + (0,) * (b - a - 1))
+        else:
+            blocks.append((0,) * (b - a))
+    return FWeight(lam, tuple(blocks))
+
+
+def zero_pair(lam) -> LVPair:
+    return LVPair(tuple(lam), zero_fweight(lam))

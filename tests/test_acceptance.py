@@ -28,10 +28,8 @@ from ambc.lusztig_vogan import (
     LVPair,
     mu_lambda,
     mu_lambda_zero,
-    rho_lambda,
     theta1,
     theta1_inverse,
-    zero_pair,
 )
 from ambc.matrixball import forward_step, phi, psi, psi_cache_clear
 from ambc.oracles import brute_schur_product, epsilon_from_families, _random_affine_perm
@@ -46,7 +44,7 @@ from ambc.tabloids import (
     rev_lambda,
 )
 
-from conftest import dominant_diffs, random_cell_element
+from conftest import dominant_diffs, random_cell_element, rho_lambda, zero_pair
 from sweeps import (
     DEFAULT_STRIDES,
     central_shift_chunk,

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ambc import matrixball
+from ambc import jring, matrixball
 from ambc.affine import (
     AffinePerm,
     InvariantError,
@@ -27,6 +27,7 @@ from ambc.jring import (
     t_multiply,
     unit,
 )
+from ambc.lusztig_vogan import theta1, theta1_inverse
 from ambc.matrixball import phi, psi
 from ambc.oracles import _random_affine_perm
 from ambc.repring import fweight_from_rows, tensor_f
@@ -323,6 +324,63 @@ class TestRowCores:
             upsilon(w)
         with pytest.raises(InvariantError, match=msg):
             phi(w)
+
+
+class TestFactorMemo:
+    # j_multiply reads each factor's coordinates from a 4096-entry memo;
+    # every test starts with it empty (conftest)
+
+    def test_entries_equal_fresh_forward_map(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            lam = rng.choice(list(partitions(rng.randint(1, 7))))
+            w, _, _ = random_cell_element(rng, lam)
+            fresh = matrixball._forward(w)
+            assert jring._coordinates(w) == fresh  # a miss
+            assert jring._coordinates(w) == fresh  # a hit
+
+    def test_composable_pool_maps_each_factor_once(self):
+        rng = random.Random(44)
+        lam = (3, 2)
+        tabs = list(enumerate_tabloids(lam))
+        q = tabs[0]
+        left = [random_cell_element(rng, lam, tabs, p, q)[0] for p in tabs[1:7]]
+        right = [random_cell_element(rng, lam, tabs, q, r)[0] for r in tabs[1:7]]
+        for u in left:
+            for v in right:
+                assert t_multiply(u, v)
+        info = jring._coordinates.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (12, 60, 12)
+
+    def test_only_j_multiply_fills_it(self):
+        rng = random.Random(45)
+        w, _, _ = random_cell_element(rng, (3, 2, 2))
+        t_multiply(w, w)
+        size = jring._coordinates.cache_info().currsize
+        coordinates = upsilon(w)
+        assert upsilon_inverse(*coordinates) == w
+        t = phi(w)
+        assert psi(t.p, t.q, t.rho) == w
+        pair = theta1((2, 1, 1, 0, -1))
+        assert theta1_inverse(pair.shape, pair.weight) == (2, 1, 1, 0, -1)
+        assert jring._coordinates.cache_info().currsize == size == 1
+
+    def test_failure_is_not_kept(self, monkeypatch):
+        real = matrixball._phi_win
+        w = parse_window(W9)
+
+        def broken(win, n):
+            p, q, rho = real(win, n)
+            return (p, q, (rho[0] + 10,) + rho[1:]) if win == w.window else (p, q, rho)
+
+        monkeypatch.setattr(matrixball, "_phi_win", broken)
+        msg = r"left the dominant image: n=9, window=\(-1, 3, 10, -5, 14, -3, 18, 7, 2\)"
+        for _ in range(2):
+            with pytest.raises(InvariantError, match=msg):
+                t_multiply(w, parse_window(W9P))
+        assert jring._coordinates.cache_info().currsize == 1
+        monkeypatch.undo()
+        assert t_multiply(w, parse_window(W9P)) == {parse_window(t): 1 for t in PRODUCT_TERMS}
 
 
 class TestAntiInvolution:

@@ -17,16 +17,15 @@ from ambc.lusztig_vogan import (
     mu_lambda,
     mu_lambda_zero,
     parse_lv_pair,
-    rho_lambda,
     theta1,
     theta1_inverse,
     w_tableau,
     w_tableau_zero,
-    zero_pair,
 )
 from ambc import lusztig_vogan, tabloids
-from ambc.repring import FWeight, fweight_from_rows, zero_fweight
+from ambc.repring import FWeight, fweight_from_rows
 from ambc.tabloids import equal_part_runs
+from conftest import rho_lambda, zero_fweight, zero_pair
 
 
 class TestWorkedExamples:

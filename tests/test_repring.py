@@ -11,16 +11,15 @@ from ambc.repring import (
     _lr_product,
     dim_f,
     dim_gl,
-    format_fweight,
     fweight_from_rows,
     is_determinantal,
     parse_fweight,
     parse_gl_weight,
     tensor_f,
     tensor_gl,
-    zero_fweight,
 )
 from ambc.tabloids import delta_vec, enumerate_tabloids, equal_part_runs
+from conftest import format_fweight, zero_fweight
 
 
 def random_weight(rng, m, lo=-3, hi=3):

@@ -18,7 +18,6 @@ from ambc.tabloids import (
     count_tabloids,
     delta_vec,
     enumerate_tabloids,
-    format_tabloid,
     iota_vec,
     is_dominant_wrt,
     local_charge,
@@ -31,7 +30,7 @@ from ambc.tabloids import (
     tau,
 )
 
-from conftest import dominant_diffs
+from conftest import dominant_diffs, format_tabloid
 
 
 def swap_residues(t, i):
