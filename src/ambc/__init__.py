@@ -65,6 +65,7 @@ from .cells import (
     star_right,
     star_tabloid,
     upsilon,
+    upsilon_inverse,
     xi_epsilon,
 )
 from .repring import (

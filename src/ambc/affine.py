@@ -16,7 +16,6 @@ stored as integers in 1..n.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
@@ -303,26 +302,7 @@ def min_double_coset_rep(w: AffinePerm) -> AffinePerm:
     return AffinePerm(w.n, tuple(sorted(u.window)))
 
 
-# --- text formats -----------------------------------------------------------
-
-
-def read_json(text: str, what: str, keys: Sequence[str] = ()):
-    """Decode the JSON ``text`` of a ``what``; with ``keys``, the value must
-    be an object with exactly those keys.  Any other text, nesting too deep
-    for the decoder included, is a ValueError."""
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ValueError(f"bad {what} text: {e}") from None
-    if keys and not (isinstance(data, dict) and set(data) == set(keys)):
-        names = ", ".join(f'"{k}"' for k in keys)
-        raise ValueError(f"{what} must be an object with keys {names}")
-    return data
-
-
-def compact_json(data) -> str:
-    """JSON without spaces, the form of every JSON text format."""
-    return json.dumps(data, separators=(",", ":"))
+# --- window format -----------------------------------------------------------
 
 
 def parse_int(text: str, what: str) -> int:
@@ -335,19 +315,6 @@ def parse_int(text: str, what: str) -> int:
     except ValueError:  # more digits than int() converts
         pass
     raise ValueError(f"bad {what} {text!r}")
-
-
-def parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """Read a comma list of integers like "2,-1,0"."""
-    try:
-        return tuple(parse_int(p, what) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
-
-
-def format_ints(xs: Iterable[int]) -> str:
-    """Write integers as a comma list like "2,-1,0"."""
-    return ",".join(map(str, xs))
 
 
 _WINDOW_RE = re.compile(r"^\[(.*)\]$", re.S)

@@ -10,24 +10,118 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .affine import (
     AffinePerm,
     InvariantError,
-    format_ints,
+    _is_int,
+    check_partition,
     format_window,
-    parse_ints,
+    parse_int,
     parse_window,
-    read_json,
 )
 from .cells import distinguished_involutions
-from .jring import format_jelement, jelement_to_json, t_multiply
-from .lusztig_vogan import format_lv_pair, theta1, theta1_inverse
-from .matrixball import format_triple, parse_triple, phi, psi_triple
+from .jring import JElement, t_multiply
+from .lusztig_vogan import LVPair, theta1, theta1_inverse
+from .matrixball import DomTriple, phi, psi_triple
 from .oracles import self_check
-from .repring import fweight_from_json, tensor_gl
-from .tabloids import parse_shape
+from .repring import FWeight, tensor_gl
+from .tabloids import Tabloid
+
+
+# --- text formats ------------------------------------------------------------
+
+
+def read_json(text: str, what: str, keys: Sequence[str] = ()):
+    """Decode the JSON ``text`` of a ``what``; with ``keys``, the value must
+    be an object with exactly those keys.  Any other text, nesting too deep
+    for the decoder included, is a ValueError."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"bad {what} text: {e}") from None
+    if keys and not (isinstance(data, dict) and set(data) == set(keys)):
+        names = ", ".join(f'"{k}"' for k in keys)
+        raise ValueError(f"{what} must be an object with keys {names}")
+    return data
+
+
+def compact_json(data) -> str:
+    """JSON without spaces, the form of every JSON text format."""
+    return json.dumps(data, separators=(",", ":"))
+
+
+def parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Read a comma list of integers like "2,-1,0"."""
+    try:
+        return tuple(parse_int(p, what) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
+def format_ints(xs: Iterable[int]) -> str:
+    """Write integers as a comma list like "2,-1,0"."""
+    return ",".join(map(str, xs))
+
+
+def parse_shape(text: str) -> tuple[int, ...]:
+    """Parse a comma list like "4,3,1" into a partition."""
+    return check_partition(parse_ints(text, "shape"))
+
+
+def tabloid_from_lists(data, n: Optional[int] = None) -> Tabloid:
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in data
+    ):
+        raise ValueError(f"tabloid must be a list of integer rows: {data!r}")
+    size = sum(len(row) for row in data)
+    if n is not None and size != n:
+        raise ValueError(f"tabloid holds {size} residues, expected {n}")
+    return Tabloid(size, tuple(tuple(sorted(row)) for row in data))
+
+
+def format_triple(t: DomTriple) -> str:
+    return compact_json({"p": t.p.rows, "q": t.q.rows, "rho": t.rho})
+
+
+def parse_triple(text: str, n: Optional[int] = None) -> DomTriple:
+    """Parse the JSON triple format {"p": rows, "q": rows, "rho": [ints]}."""
+    data = read_json(text, "triple", ("p", "q", "rho"))
+    if not isinstance(data["rho"], list) or not all(_is_int(x) for x in data["rho"]):
+        raise ValueError('"rho" must be a list of integers')
+    return DomTriple(
+        tabloid_from_lists(data["p"], n), tabloid_from_lists(data["q"], n), tuple(data["rho"])
+    )
+
+
+def fweight_from_json(shape, blocks) -> FWeight:
+    """The FWeight of a decoded JSON ``shape`` (a list of parts) and
+    ``blocks`` (a list of lists); any other form is a ValueError."""
+    if not (isinstance(shape, list) and isinstance(blocks, list)
+            and all(isinstance(b, list) for b in blocks)):
+        raise ValueError(f"shape and weight blocks must be JSON lists: {shape!r}, {blocks!r}")
+    return FWeight(tuple(shape), tuple(tuple(b) for b in blocks))
+
+
+def format_jelement(a: JElement) -> str:
+    """Deterministic formal sum, e.g. "1*[2,1,3] + -1*[1,3,2]"; zero is "0"."""
+    if not a:
+        return "0"
+    terms = sorted(a.items(), key=lambda item: item[0].window)
+    return " + ".join(f"{c}*{format_window(w)}" for w, c in terms)
+
+
+def jelement_to_json(a: JElement) -> str:
+    terms = sorted(a.items(), key=lambda item: item[0].window)
+    return compact_json([{"coef": c, "window": w.window} for w, c in terms])
+
+
+def format_lv_pair(p: LVPair) -> str:
+    return compact_json({"shape": p.shape, "weight_blocks": p.weight.blocks})
+
+
+# --- command line ------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .affine import AffinePerm, compact_json, format_window, is_nonextended, parse_int, parse_window
+from .affine import AffinePerm, is_nonextended
 from .cells import _from_coordinates, distinguished_involutions
 from .matrixball import _forward
 from .repring import _block_product
@@ -94,36 +94,4 @@ def sl_reduce(a: JElement) -> JElement:
         k = (sum(w.window) - w.n * (w.n + 1) // 2) // w.n**2
         rep = AffinePerm(w.n, tuple(v - k * w.n for v in w.window)) if k else w
         out[rep] = out.get(rep, 0) + c
-    return {w: c for w, c in out.items() if c}
-
-
-# --- text formats ---------------------------------------------------------------
-
-
-def format_jelement(a: JElement) -> str:
-    """Deterministic formal sum, e.g. "1*[2,1,3] + -1*[1,3,2]"; zero is "0"."""
-    if not a:
-        return "0"
-    terms = sorted(a.items(), key=lambda item: item[0].window)
-    return " + ".join(f"{c}*{format_window(w)}" for w, c in terms)
-
-
-def jelement_to_json(a: JElement) -> str:
-    terms = sorted(a.items(), key=lambda item: item[0].window)
-    return compact_json([{"coef": c, "window": w.window} for w, c in terms])
-
-
-def parse_jelement(text: str) -> JElement:
-    """Parse the formal-sum format back into a coefficient map."""
-    text = text.strip()
-    if text == "0":
-        return {}
-    out: JElement = {}
-    for part in text.split(" + "):
-        coef, star, window = part.partition("*")
-        if not star:
-            raise ValueError(f"bad term {part!r}")
-        c = parse_int(coef, "coefficient")
-        w = parse_window(window, total=True)
-        out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}

@@ -23,15 +23,13 @@ from .affine import (
     AffinePerm,
     InvariantError,
     check_partition,
-    compact_json,
     conjugate_partition,
     from_dominant_weight,
     min_double_coset_rep,
-    read_json,
     window_diagonals,
 )
 from .cells import _from_coordinates, upsilon
-from .repring import FWeight, fweight_from_json
+from .repring import FWeight
 from .tabloids import _canonical_rows, canonical_tabloid
 
 
@@ -140,17 +138,3 @@ def mu_lambda(lam: Sequence[int], r: int, s: int) -> tuple[int, ...]:
     (2, 2, 2, 0, -1, -1, -2)
     """
     return tuple(sorted((x for row in w_tableau(lam, r, s) for x in row), reverse=True))
-
-
-# --- text format -----------------------------------------------------------------
-
-
-def format_lv_pair(p: LVPair) -> str:
-    return compact_json({"shape": p.shape, "weight_blocks": p.weight.blocks})
-
-
-def parse_lv_pair(text: str) -> LVPair:
-    """Parse the JSON form {"shape": [...], "weight_blocks": [[...], ...]}."""
-    data = read_json(text, "pair", ("shape", "weight_blocks"))
-    weight = fweight_from_json(data["shape"], data["weight_blocks"])
-    return LVPair(weight.shape, weight)

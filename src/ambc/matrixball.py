@@ -60,12 +60,9 @@ from .affine import (
     InvariantError,
     PartialPerm,
     _ceil_div,
-    _is_int,
     _trusted,
-    compact_json,
-    read_json,
 )
-from .tabloids import Blocks, Rows, Tabloid, _dominant_blocks, _tabloid_error, offset_rows, tabloid_from_lists
+from .tabloids import Blocks, Rows, Tabloid, _dominant_blocks, _tabloid_error, offset_rows
 
 Win = tuple  # window tuple with int or None entries
 
@@ -735,20 +732,3 @@ def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int, step=_bk
 
 def psi_triple(t: DomTriple) -> AffinePerm:
     return _psi_perm(t.p.rows, t.q.rows, t.rho, t.p.n)  # DomTriple checked the shapes
-
-
-# --- triple text format -------------------------------------------------------
-
-
-def format_triple(t: DomTriple) -> str:
-    return compact_json({"p": t.p.rows, "q": t.q.rows, "rho": t.rho})
-
-
-def parse_triple(text: str, n: Optional[int] = None) -> DomTriple:
-    """Parse the JSON triple format {"p": rows, "q": rows, "rho": [ints]}."""
-    data = read_json(text, "triple", ("p", "q", "rho"))
-    if not isinstance(data["rho"], list) or not all(_is_int(x) for x in data["rho"]):
-        raise ValueError('"rho" must be a list of integers')
-    return DomTriple(
-        tabloid_from_lists(data["p"], n), tabloid_from_lists(data["q"], n), tuple(data["rho"])
-    )

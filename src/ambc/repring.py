@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .affine import InvariantError, _trusted, check_gl_weight, check_partition, parse_ints, read_json
+from .affine import InvariantError, _trusted, check_gl_weight, check_partition
 from .tabloids import RowVector, equal_part_runs
 
 GLWeight = tuple[int, ...]
@@ -206,26 +206,3 @@ def dim_gl(mu: Sequence[int]) -> int:
 def dim_f(fw: FWeight) -> int:
     """Product of the factor dimensions."""
     return math.prod(dim_gl(b) for b in fw.blocks)
-
-
-# --- text formats ---------------------------------------------------------------
-
-
-def parse_gl_weight(text: str) -> GLWeight:
-    """Parse a comma list like "2,1,0" into a dominant weight."""
-    return check_gl_weight(parse_ints(text, "weight"))
-
-
-def parse_fweight(text: str) -> FWeight:
-    """Parse the JSON form {"shape": [...], "blocks": [[...], ...]}."""
-    data = read_json(text, "weight", ("shape", "blocks"))
-    return fweight_from_json(data["shape"], data["blocks"])
-
-
-def fweight_from_json(shape, blocks) -> FWeight:
-    """The FWeight of a decoded JSON ``shape`` (a list of parts) and
-    ``blocks`` (a list of lists); any other form is a ValueError."""
-    if not (isinstance(shape, list) and isinstance(blocks, list)
-            and all(isinstance(b, list) for b in blocks)):
-        raise ValueError(f"shape and weight blocks must be JSON lists: {shape!r}, {blocks!r}")
-    return FWeight(tuple(shape), tuple(tuple(b) for b in blocks))

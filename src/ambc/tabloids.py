@@ -25,14 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .affine import (
-    _is_int,
-    check_partition,
-    conjugate_partition,
-    parse_ints,
-    read_json,
-    residue,
-)
+from .affine import check_partition, conjugate_partition, residue
 
 RowVector = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -302,32 +295,3 @@ def count_tabloids(lam: Sequence[int]) -> int:
         seen += part
         out *= math.comb(seen, part)
     return out
-
-
-# --- text formats ------------------------------------------------------------
-
-
-def parse_tabloid(text: str, n: Optional[int] = None) -> Tabloid:
-    """
-    Parse nested-bracket rows back into a tabloid.
-
-    >>> parse_tabloid("[[2,4,6],[3,7,8],[1,5,9]]").shape()
-    (3, 3, 3)
-    """
-    return tabloid_from_lists(read_json(text, "tabloid"), n)
-
-
-def tabloid_from_lists(data, n: Optional[int] = None) -> Tabloid:
-    if not isinstance(data, list) or not all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in data
-    ):
-        raise ValueError(f"tabloid must be a list of integer rows: {data!r}")
-    size = sum(len(row) for row in data)
-    if n is not None and size != n:
-        raise ValueError(f"tabloid holds {size} residues, expected {n}")
-    return Tabloid(size, tuple(tuple(sorted(row)) for row in data))
-
-
-def parse_shape(text: str) -> tuple[int, ...]:
-    """Parse a comma list like "4,3,1" into a partition."""
-    return check_partition(parse_ints(text, "shape"))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 from ambc import jring
-from ambc.affine import AffinePerm, compact_json, compose, inverse, partitions, shift
+from ambc.affine import AffinePerm, check_gl_weight, compose, inverse, parse_int, parse_window, partitions, shift
+from ambc.cli import compact_json, fweight_from_json, parse_ints, read_json, tabloid_from_lists
 from ambc.cells import CellLabel
 from ambc.lusztig_vogan import LVPair
 from ambc.matrixball import phi, psi
@@ -172,3 +173,48 @@ def rho_lambda(lam, r: int, s: int) -> FWeight:
 
 def zero_pair(lam) -> LVPair:
     return LVPair(tuple(lam), zero_fweight(lam))
+
+
+# Readers of single values the command line never reads alone; the tests use
+# them to re-read what the writers in ``ambc.cli`` produce.
+
+
+def parse_tabloid(text: str, n=None) -> Tabloid:
+    """Parse nested-bracket rows, e.g. "[[2,4,6],[3,7,8],[1,5,9]]", back into
+    a tabloid."""
+    return tabloid_from_lists(read_json(text, "tabloid"), n)
+
+
+def parse_gl_weight(text: str) -> tuple:
+    """Parse a comma list like "2,1,0" into a dominant weight."""
+    return check_gl_weight(parse_ints(text, "weight"))
+
+
+def parse_fweight(text: str) -> FWeight:
+    """Parse the JSON form {"shape": [...], "blocks": [[...], ...]}."""
+    data = read_json(text, "weight", ("shape", "blocks"))
+    return fweight_from_json(data["shape"], data["blocks"])
+
+
+def parse_jelement(text: str) -> dict:
+    """Parse the formal-sum format of ``ambc.cli.format_jelement`` back into a
+    coefficient map."""
+    text = text.strip()
+    if text == "0":
+        return {}
+    out = {}
+    for part in text.split(" + "):
+        coef, star, window = part.partition("*")
+        if not star:
+            raise ValueError(f"bad term {part!r}")
+        c = parse_int(coef, "coefficient")
+        w = parse_window(window, total=True)
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def parse_lv_pair(text: str) -> LVPair:
+    """Parse the JSON form {"shape": [...], "weight_blocks": [[...], ...]}."""
+    data = read_json(text, "pair", ("shape", "weight_blocks"))
+    weight = fweight_from_json(data["shape"], data["weight_blocks"])
+    return LVPair(weight.shape, weight)

@@ -9,12 +9,10 @@ from ambc.affine import (
     PartialPerm,
     block_coordinate,
     block_diagonal,
-    compact_json,
     compose,
     conjugate_partition,
     descents,
     descents_right,
-    format_ints,
     format_window,
     from_dominant_weight,
     identity,
@@ -23,13 +21,12 @@ from ambc.affine import (
     longest_parabolic,
     min_double_coset_rep,
     parse_int,
-    parse_ints,
     parse_window,
     partitions,
-    read_json,
     shift,
     window_diagonals,
 )
+from ambc.cli import compact_json, format_ints, parse_ints, read_json
 
 from conftest import longest_finite
 

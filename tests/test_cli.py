@@ -8,17 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambc import repring
-from ambc.affine import parse_ints, parse_window, partitions
-from ambc.cli import _COMMANDS, _build_parser, main
-from ambc.jring import parse_jelement
-from ambc.lusztig_vogan import parse_lv_pair
-from ambc.oracles import self_check
-from ambc.matrixball import DomTriple, format_triple, parse_triple, phi, psi_cache_clear
-from ambc.repring import fweight_from_rows, parse_fweight, parse_gl_weight
-from ambc.tabloids import equal_part_runs, parse_shape, parse_tabloid
+from ambc import cli, matrixball, repring
+from ambc.affine import parse_window, partitions
+from ambc.cli import _COMMANDS, _build_parser, format_triple, main, parse_ints, parse_shape, parse_triple
+from ambc.oracles import OracleReport, self_check
+from ambc.matrixball import DomTriple, phi, psi_cache_clear
+from ambc.repring import fweight_from_rows
+from ambc.tabloids import equal_part_runs
 
-from conftest import one_column_triple, stack_headroom
+from conftest import (
+    one_column_triple,
+    parse_fweight,
+    parse_gl_weight,
+    parse_jelement,
+    parse_lv_pair,
+    parse_tabloid,
+    stack_headroom,
+)
 
 
 def run(capsys, *argv):
@@ -322,6 +328,31 @@ def readme_examples():
 
 
 README_EXAMPLES = readme_examples()
+
+
+class TestInternalFailure:
+    """Exit code 3: an internal invariant failed, whatever the input."""
+
+    def test_forward_postcondition(self, capsys, monkeypatch):
+        real = matrixball._phi_win
+
+        def broken(win, n):
+            p, q, rho = real(win, n)
+            return p, q, rho[:-1]  # one altitude short of the rows
+
+        monkeypatch.setattr(matrixball, "_phi_win", broken)
+        code, out, err = run(capsys, "ambc-forward", "[3,7,14,2,18,4,19,8,6]")
+        assert code == 3 and out == ""
+        assert err.startswith("internal invariant failure")
+        assert "window=(3, 7, 14, 2, 18, 4, 19, 8, 6)" in err
+
+    def test_self_check_mismatch(self, capsys, monkeypatch):
+        report = OracleReport("planted", "1", "2", False)
+        monkeypatch.setattr(cli, "self_check", lambda seed, samples: [report])
+        code, out, err = run(capsys, "self-check")
+        assert code == 3
+        assert "MISMATCH planted: expected 1, got 2" in out.splitlines()
+        assert err.startswith("internal invariant failure")
 
 
 class TestReadmeExamples:

@@ -2,10 +2,11 @@
 every module-level name of the library is read somewhere (a public one may
 instead be exported by the package), every library name the benchmark harness
 imports exists, the library and the tests import only at
-module level (so their import graphs are the ones their headers show), only
-the text layer of the library imports ``json`` or ``re``, outside
-``matrixball`` only the star probe and the oracles read the raw forward and
-backward kernels, and the library
+module level (so their import graphs are the ones their headers show), the
+command line alone reads and writes the text formats (``affine`` keeps the
+window format), no library name outside the oracles serves only the tests,
+outside ``matrixball`` only the star probe and the oracles read the raw
+forward and backward kernels, and the library
 checks its invariants without ``assert`` (which ``python -O`` strips)."""
 import ast
 from pathlib import Path
@@ -112,14 +113,49 @@ def test_scanner_finds_imported_modules():
     assert imported_modules(tree) == {"os", "json", "re"}
 
 
-def test_text_parsing_only_in_affine_and_cli():
-    # affine holds the text formats and cli its command line; every other
-    # module reads and writes text through affine's helpers
+def modules_importing(module: str) -> list[str]:
+    """Stems of the library modules that import ``module``."""
+    return [path.stem for path in LIBRARY if module in imported_modules(ast.parse(path.read_text()))]
+
+
+# cli reads and writes every text format of the command line; affine keeps
+# the window format, which the package exports beside AffinePerm
+def test_only_cli_imports_json():
+    assert modules_importing("json") == ["cli"]
+
+
+def test_only_affine_and_cli_import_re():
+    assert modules_importing("re") == ["affine", "cli"]
+
+
+WINDOW_FORMAT = {"format_window", "parse_window", "parse_int"}
+
+
+def text_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names that read or write text by their name: a
+    ``parse_`` or ``format_`` prefix or a ``_json`` suffix."""
+    return [
+        name
+        for _, name in module_definitions(tree)
+        if name.startswith(("parse_", "format_")) or name.endswith("_json")
+    ]
+
+
+def test_scanner_finds_text_definitions():
+    tree = ast.parse(
+        "def parse_a(t):\n    pass\ndef format_b(x):\n    pass\nc_json = 1\n"
+        "def reparse(t):\n    pass\nclass C:\n    def to_json(self):\n        pass\n"
+    )
+    assert text_definitions(tree) == ["parse_a", "format_b", "c_json"]
+
+
+def test_text_formats_only_in_cli():
     found = [
-        f"{path.relative_to(ROOT)}: {name}"
+        f"{path.stem}.{name}"
         for path in LIBRARY
-        if path.stem not in ("affine", "cli")
-        for name in sorted(imported_modules(ast.parse(path.read_text())) & {"json", "re"})
+        if path.stem != "cli"
+        for name in text_definitions(ast.parse(path.read_text(), str(path)))
+        if not (path.stem == "affine" and name in WINDOW_FORMAT)
     ]
     assert not found, found
 
@@ -293,5 +329,21 @@ def test_bench_imports_resolve():
         for path in BENCH
         for line, module, name in library_imports(ast.parse(path.read_text(), str(path)))
         if not hasattr(__import__(module, fromlist=[name]), name)
+    ]
+    assert not found, found
+
+
+def test_no_library_name_serves_only_tests():
+    # a module-level name outside the oracles is exported, or library code
+    # (its own module included) or the benchmark reads it; a helper that only
+    # tests read belongs in tests/conftest.py
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY + BENCH}
+    read = set().union(*map(names_read, trees.values())) | set(ambc.__all__)
+    found = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        if path.stem != "oracles"
+        for _, name in module_definitions(trees[path])
+        if name[:2] != "__" and name not in read
     ]
     assert not found, found

@@ -16,11 +16,9 @@ from ambc.affine import (
     shift,
 )
 from ambc.cells import is_distinguished, star_right, upsilon, upsilon_inverse
+from ambc.cli import format_jelement, jelement_to_json
 from ambc.jring import (
-    format_jelement,
     j_multiply,
-    jelement_to_json,
-    parse_jelement,
     pgl_member,
     sl_reduce,
     t_basis,
@@ -33,7 +31,7 @@ from ambc.oracles import _random_affine_perm
 from ambc.repring import fweight_from_rows, tensor_f
 from ambc.tabloids import count_tabloids, enumerate_tabloids, equal_part_runs, offset_constants
 
-from conftest import random_cell_element
+from conftest import parse_jelement, random_cell_element
 
 
 W9 = "[-1,3,10,-5,14,-3,18,7,2]"

@@ -12,20 +12,19 @@ from ambc.affine import (
 )
 from ambc.lusztig_vogan import (
     LVPair,
-    format_lv_pair,
     lv_window,
     mu_lambda,
     mu_lambda_zero,
-    parse_lv_pair,
     theta1,
     theta1_inverse,
     w_tableau,
     w_tableau_zero,
 )
 from ambc import lusztig_vogan, tabloids
+from ambc.cli import format_lv_pair
 from ambc.repring import FWeight, fweight_from_rows
 from ambc.tabloids import equal_part_runs
-from conftest import rho_lambda, zero_fweight, zero_pair
+from conftest import parse_lv_pair, rho_lambda, zero_fweight, zero_pair
 
 
 class TestWorkedExamples:

@@ -34,10 +34,8 @@ from ambc.matrixball import (
     backward_step,
     channel_numbering,
     channels,
-    format_triple,
     forward_step,
     make_stream,
-    parse_triple,
     phi,
     psi,
     psi_cache_clear,
@@ -46,13 +44,16 @@ from ambc.matrixball import (
 )
 from ambc import cells, matrixball, psi_cache_info
 from ambc.cells import distinguished_involutions, star_tabloid, upsilon, upsilon_inverse
+from ambc.cli import format_triple, parse_triple
 from ambc.jring import t_multiply
 from ambc.lusztig_vogan import theta1, theta1_inverse
 from ambc.oracles import _random_affine_perm, dominates_by_translates
+from ambc.repring import FWeight, fweight_from_rows
 from ambc.tabloids import (
     Tabloid,
     canonical_tabloid,
     enumerate_tabloids,
+    is_dominant_wrt,
     offset_constants,
     rev_lambda,
     tau,
@@ -673,3 +674,52 @@ class TestTripleFormat:
             parse_triple('{"p": [[1]], "q": [[1]], "rho": [0], "x": 1}')
         with pytest.raises(ValueError):
             parse_triple('{"p": [[1,2]], "q": [[1],[2]], "rho": [0]}')
+
+
+ROW2 = canonical_tabloid((2,))
+
+
+class TestMalformedInputs:
+    """Each public input check rejects its input with a ValueError, reached
+    through the public function; the match pins the check that fired and,
+    where the message names the input, the input."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: PartialPerm(0, ()), "period must be positive, got 0", id="period-zero"),
+            pytest.param(lambda: PartialPerm(-2, ()), "period must be positive, got -2", id="period-negative"),
+            pytest.param(lambda: Stream(3, ((1, 2), (1, 3))), r"distinct in 1\.\.3: \[1, 1\]",
+                         id="stream-repeated-position"),
+            # values clashing mod n rise by n or more, so the chain check rejects them
+            pytest.param(lambda: Stream(3, ((1, 1), (2, 4))), r"must form a chain: \(\(1, 1\), \(2, 4\)\)",
+                         id="stream-values-clash"),
+            pytest.param(lambda: make_stream((1, 4), (1, 2), 0, 3), r"in 1\.\.3: \(1, 4\), \(1, 2\)",
+                         id="make-stream-out-of-range"),
+            pytest.param(lambda: make_stream((1, 1), (1, 2), 0, 3), r"distinct: \(1, 1\), \(1, 2\)",
+                         id="make-stream-repeated"),
+            pytest.param(lambda: channel_numbering(PartialPerm(3, (1, 2, 3)), Stream(3, ((1, 2),))),
+                         "not a substream", id="channel-not-substream"),
+            pytest.param(lambda: backward_step(PartialPerm(3, (None,) * 3), Stream(2, ((1, 1),))),
+                         "period mismatch: 3 != 2", id="backward-period-mismatch"),
+            pytest.param(lambda: backward_step(PartialPerm(4, (1, 2, None, None)), Stream(4, ((3, 3),))),
+                         "density below", id="backward-density-too-low"),
+            pytest.param(lambda: DomTriple(ROW2, ROW2, (0, 0)), "rho length 2 != rows 1",
+                         id="triple-rho-length"),
+            pytest.param(lambda: FWeight((2, 1), ((0,),)), r"expected 2 blocks for shape \(2, 1\), got \(\(0,\),\)",
+                         id="fweight-block-count"),
+            pytest.param(lambda: FWeight((2, 1), ((0,), (0,))).block_of_part(3), r"3 is not a part of \(2, 1\)",
+                         id="block-of-missing-part"),
+            pytest.param(lambda: fweight_from_rows((2, 1), (0,)), "vector length 1 != rows 2",
+                         id="fweight-from-rows-length"),
+            pytest.param(lambda: rev_lambda((2, 1), (0,)), r"length mismatch: \(2, 1\) vs \(0,\)",
+                         id="rev-lambda-length"),
+            pytest.param(lambda: is_dominant_wrt((0, 0), ROW2, ROW2), "rho length 2 != number of rows 1",
+                         id="is-dominant-length"),
+            pytest.param(lambda: upsilon_inverse(ROW2, ROW2, FWeight((1, 1), ((0, 0),))),
+                         r"weight shape \(1, 1\) != tabloid shape \(2,\)", id="upsilon-inverse-shape"),
+        ],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

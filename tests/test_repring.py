@@ -4,7 +4,8 @@ import random
 import pytest
 
 from ambc import repring
-from ambc.affine import InvariantError, format_ints
+from ambc.affine import InvariantError
+from ambc.cli import format_ints
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
@@ -13,13 +14,11 @@ from ambc.repring import (
     dim_gl,
     fweight_from_rows,
     is_determinantal,
-    parse_fweight,
-    parse_gl_weight,
     tensor_f,
     tensor_gl,
 )
 from ambc.tabloids import delta_vec, enumerate_tabloids, equal_part_runs
-from conftest import format_fweight, zero_fweight
+from conftest import format_fweight, parse_fweight, parse_gl_weight, zero_fweight
 
 
 def random_weight(rng, m, lo=-3, hi=3):

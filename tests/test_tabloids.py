@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambc import cells
-from ambc.affine import format_ints, partitions
+from ambc.affine import partitions
 from ambc.cells import star_right, star_tabloid
+from ambc.cli import format_ints, parse_shape
 from ambc.matrixball import _psi_perm, _psi_step, phi
 from ambc.tabloids import (
     Tabloid,
@@ -24,13 +25,11 @@ from ambc.tabloids import (
     offset_constants,
     omega_rows,
     omega_tabloid,
-    parse_shape,
-    parse_tabloid,
     rev_lambda,
     tau,
 )
 
-from conftest import dominant_diffs, format_tabloid
+from conftest import dominant_diffs, format_tabloid, parse_tabloid
 
 
 def swap_residues(t, i):
