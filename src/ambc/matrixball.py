@@ -18,7 +18,9 @@ southwest channel, groups equal labels into zigzags, and replaces each
 zigzag by its outer corner-posts, emitting one stream ball per zigzag; one
 chain of balls, or one zigzag (density 1), needs no channel search.  The
 backward step inverts this against a prescribed compatible stream, with no
-numbering from the empty window.  Iterating gives ``phi`` and ``psi``.
+numbering from the empty window; against one stream ball (density 1) its
+numbering is two sweeps along the diagonals x - v, with no relaxation.
+Iterating gives ``phi`` and ``psi``.
 
 Positions stay with the balls; values move along the zigzag.  Every
 corner-post a step makes shares its row with one ball of its zigzag, so the
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, lt
+from operator import add, lt, sub
 from typing import Optional, Sequence
 
 from .affine import (
@@ -93,10 +95,9 @@ class Stream:
         ys = [y for _, y in self.pairs]
         if not all(1 <= x <= self.n for x in xs) or sorted(set(xs)) != xs:
             raise ValueError(f"stream window positions must be distinct in 1..{self.n}: {xs}")
+        # values that clash modulo n rise by n or more, so this check rejects them
         if any(a >= b for a, b in zip(ys, ys[1:])) or ys[-1] - ys[0] >= self.n:
             raise ValueError(f"stream windows must form a chain: {self.pairs}")
-        if len(set(y % self.n for y in ys)) != len(ys):
-            raise ValueError(f"stream values clash modulo {self.n}: {ys}")
 
     def domain(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.pairs)
@@ -615,6 +616,47 @@ def _bk_labels(xs: list, vs: list, spairs, n: int) -> list:
     return lab
 
 
+def _one_bk_zigzag(xs: list, vs: list, sx: int, sy: int, n: int) -> list:
+    """The zigzag ``_zigzags`` builds from ``_bk_labels`` against one stream
+    ball (sx, sy), with no relaxation.  Label 1 + k moves a ball by -k(n, n),
+    which keeps c = x - v and lowers p = x + v by 2kn.  For c_a < c_b the
+    longest-path bounds are k_b - k_a <= (c_b - c_a - 1 + p_b - p_a) // 2n
+    and k_a - k_b <= (c_b - c_a - 1 + p_a - p_b) // 2n; the numerators add
+    along the c order and floors are superadditive, so the bounds between
+    neighbours in c imply the rest.  The greatest labeling at or below the
+    seed is then one sweep up the c order and one back; neighbours whose
+    bounds add below 0 close a cycle no labeling meets, where ``_settle``
+    fails.  The moved balls are an antichain: descending c is descending x."""
+    n2 = 2 * n
+    balls = sorted(zip(map(sub, xs, vs), xs, vs))
+    ks: list[int] = []  # the seed less 1, lowered going up
+    down = []  # the bound on k_a - k_b for each pair of neighbours
+    for c, x, v in balls:
+        p = x + v
+        k = (v - sy - 1) // n
+        if sx >= x and k > -1:
+            k = -1
+        elif k > 0:
+            k = 0
+        if ks:
+            up = (c - pc - 1 + p - pp) // n2
+            back = (c - pc - 1 - p + pp) // n2
+            if up + back < 0:
+                raise InvariantError(
+                    f"backward numbering did not settle: n={n}, balls={list(zip(xs, vs))}, "
+                    f"stream={((sx, sy),)}"
+                )
+            if pk + up < k:
+                k = pk + up
+            down.append(back)
+        ks.append(k)
+        pc, pp, pk = c, p, k
+    for i in range(len(ks) - 2, -1, -1):
+        if ks[i + 1] + down[i] < ks[i]:
+            ks[i] = ks[i + 1] + down[i]
+    return [(x - k * n, v - k * n, x) for (_, x, v), k in zip(reversed(balls), reversed(ks))]
+
+
 def backward_numbering(w: PartialPerm, s: Stream) -> Numbering:
     """
     The stabilized backward numbering of the balls of w against a compatible
@@ -644,10 +686,16 @@ def _bk_win(win: Win, n: int, spairs) -> Win:
     """One backward step: stream ball (sx, sy) and its zigzag of balls
     (x_i, y_i, p_i), x descending, give the inner posts (x_1, sy), (x_2, y_1),
     ... at the positions p_i, and (sx, y_r), placed as a stream ball.  From
-    the empty window the zigzags are empty: no numbering is computed."""
+    the empty window the zigzags are empty: no numbering is computed.
+    Against one stream ball ``_one_bk_zigzag`` builds the one zigzag."""
     xs, vs = _balls(win)
     d = len(spairs)
-    zigzags = _zigzags(xs, vs, _bk_labels(xs, vs, spairs, n), n, d) if xs else [()] * d
+    if not xs:
+        zigzags = [()] * d
+    elif d == 1:
+        zigzags = [_one_bk_zigzag(xs, vs, *spairs[0], n)]
+    else:
+        zigzags = _zigzags(xs, vs, _bk_labels(xs, vs, spairs, n), n, d)
     out = list(win)
     for (sx, sy), balls in zip(spairs, zigzags):
         y = sy

@@ -8,13 +8,16 @@ they are: the labels of the factor with fewer boxes above its last part are
 placed in a single pass on the other factor raised by that last part, each
 label's boxes as a horizontal strip whose row counts keep the lattice-word
 condition.  Strips read only differences of parts, so no weight is shifted
-to a partition and back.  The Weyl dimension formula is included as a
-verification oracle.
+to a partition and back.  Every product (``tensor_gl``, ``tensor_f`` and the
+J-ring's) goes through one memo of the last 4096 pairs of weights lowered to
+last part 0, kept as flat tuples and shifted back on each call.  The Weyl
+dimension formula is included as a verification oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .affine import InvariantError, _trusted, check_gl_weight, check_partition
@@ -79,7 +82,7 @@ def is_determinantal(lam: Sequence[int], rho: Sequence[int]) -> bool:
 # --- Littlewood-Richardson ----------------------------------------------------
 
 
-def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
+def _lr_kernel(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     """
     Decompose the tensor product of the GL_m irreducibles with dominant
     weights mu and nu of one length m (partitions included) by the
@@ -93,7 +96,7 @@ def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     left.  Equal (weight, row counts) states merge with their multiplicities
     added, the final label's by weight alone.
 
-    >>> _lr_product((2, 1, 0), (2, 1, 0))[(3, 2, 1)]
+    >>> _lr_kernel((2, 1, 0), (2, 1, 0))[(3, 2, 1)]
     2
     """
     m = len(mu)
@@ -140,6 +143,35 @@ def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
                         stack.append((r + 1, left - a, slack - a + prev[r], head + (kappa[r] + a,), adds + (a,)))
         states = nxt
     return out
+
+
+@lru_cache(maxsize=4096)
+def _lr_lowered(mu: GLWeight, nu: GLWeight) -> tuple[int, ...]:
+    """``_lr_kernel`` on two weights with last part 0, stored flat (each
+    summand's m parts, then its multiplicity): a third of the memory of a
+    tuple of (weight, multiplicity) items."""
+    return tuple(x for kappa, c in _lr_kernel(mu, nu).items() for x in kappa + (c,))
+
+
+def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
+    """
+    ``_lr_kernel`` through a memo of lowered pairs: subtracting the last part
+    from each weight shifts every summand by their sum, and the product is
+    symmetric, so each unordered pair of lowered weights is decomposed once.
+    The memo keeps the last 4096 pairs; each call builds a new dict.
+
+    >>> _lr_product((3, 2, 1), (1, 0, -1))[(3, 2, 1)]
+    2
+    """
+    low = mu[-1] + nu[-1]
+    a = tuple(x - mu[-1] for x in mu)
+    b = tuple(x - nu[-1] for x in nu)
+    flat = _lr_lowered(a, b) if a <= b else _lr_lowered(b, a)
+    m = len(mu)
+    step = m + 1
+    if low:
+        return {tuple(x + low for x in flat[i:i + m]): flat[i + m] for i in range(0, len(flat), step)}
+    return {flat[i:i + m]: flat[i + m] for i in range(0, len(flat), step)}
 
 
 def tensor_gl(mu: Sequence[int], nu: Sequence[int]) -> VirtualChar:

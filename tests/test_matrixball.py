@@ -26,6 +26,7 @@ from ambc.matrixball import (
     _dominates_from_ne,
     _forward_win,
     _max_density,
+    _one_bk_zigzag,
     _one_zigzag,
     _psi_rows,
     _southwest_channel,
@@ -535,6 +536,75 @@ class TestClosedFormSteps:
         assert self.check(wins, monkeypatch) == 2000
 
 
+def _bk_outcome(step):
+    """The zigzags of a backward step, or the message of its InvariantError."""
+    try:
+        return step()
+    except InvariantError as e:
+        return str(e)
+
+
+def _general_bk_zigzags(xs, vs, sx, sy, n):
+    return _zigzags(xs, vs, _bk_labels(xs, vs, ((sx, sy),), n), n, 1)
+
+
+class TestDensityOneBackward:
+    """The density-1 backward zigzag against the general path, ``_bk_labels``
+    then ``_zigzags``, on compatible and incompatible pairs alike: equal
+    zigzags, or the same InvariantError."""
+
+    @staticmethod
+    def check(pairs):
+        failed = 0
+        for win, n, sx, sy in pairs:
+            xs, vs = _balls(win)
+            got = _bk_outcome(lambda: [_one_bk_zigzag(xs, vs, sx, sy, n)])
+            assert got == _bk_outcome(lambda: _general_bk_zigzags(xs, vs, sx, sy, n)), (win, sx, sy)
+            failed += isinstance(got, str)
+        return failed
+
+    def test_exhaustive_small(self):
+        # every window with holes, n <= 4 and shifts in {-1, 0, 1}, with one
+        # stream ball in each hole, of each free residue and shift
+        pairs = []
+        for win, n in small_partial_windows(4):
+            free = set(range(1, n + 1)) - {(v - 1) % n + 1 for v in win if v is not None}
+            for sx in (i + 1 for i, v in enumerate(win) if v is None):
+                pairs += [(win, n, sx, r + n * s) for r in sorted(free) for s in (-1, 0, 1)]
+        assert len(pairs) == 17_694
+        assert self.check(pairs) == 7_191
+
+    def test_seeded(self):
+        rng = random.Random(27)
+        pairs = []
+        for _ in range(1500):  # arbitrary pairs, mostly incompatible
+            n = rng.randint(2, 16)
+            spread = rng.randint(1, 4)
+            k = rng.randint(1, n - 1)
+            pos, res = rng.sample(range(1, n + 1), k + 1), rng.sample(range(1, n + 1), k + 1)
+            win = [None] * n
+            for p, r in zip(pos[1:], res[1:]):
+                win[p - 1] = r + n * rng.randint(-spread, spread)
+            pairs.append((tuple(win), n, pos[0], res[0] + n * rng.randint(-spread, spread)))
+        for win, n in density_one_windows(rng, 1500, max_n=16):  # compatible ones
+            if None in win:
+                free = sorted(set(range(1, n + 1)) - {(v - 1) % n + 1 for v in win if v is not None})
+                sx = rng.choice([i + 1 for i, v in enumerate(win) if v is None])
+                pairs.append((win, n, sx, rng.choice(free) + n * rng.randint(-8, 8)))
+        assert (len(pairs), self.check(pairs)) == (2698, 789)
+
+    def test_backward_step_takes_it(self, monkeypatch):
+        # psi of (1^n) steps against one stream ball only: no relaxation runs,
+        # and the general path gives the same permutation
+        t = canonical_tabloid((1,) * 12)
+        rho = tuple(random.Random(5).randint(-3, 3) for _ in range(12))
+        monkeypatch.setattr(matrixball, "_bk_labels", None)
+        w = psi(t, t, rho)
+        monkeypatch.undo()
+        monkeypatch.setattr(matrixball, "_one_bk_zigzag", lambda *a: _general_bk_zigzags(*a)[0])
+        assert psi(t, t, rho) == w
+
+
 GOLDEN_WINDOW = AffinePerm(9, (3, 7, 14, 2, 18, 4, 19, 8, 6))
 GOLDEN_TRIPLE = phi(GOLDEN_WINDOW)
 LV_PAIR = theta1((3, 1, 1, 0))
@@ -691,7 +761,8 @@ class TestMalformedInputs:
             pytest.param(lambda: PartialPerm(-2, ()), "period must be positive, got -2", id="period-negative"),
             pytest.param(lambda: Stream(3, ((1, 2), (1, 3))), r"distinct in 1\.\.3: \[1, 1\]",
                          id="stream-repeated-position"),
-            # values clashing mod n rise by n or more, so the chain check rejects them
+            # Stream has no clash check of its own: values that clash mod n rise by n
+            # or more, so its chain check rejects them
             pytest.param(lambda: Stream(3, ((1, 1), (2, 4))), r"must form a chain: \(\(1, 1\), \(2, 4\)\)",
                          id="stream-values-clash"),
             pytest.param(lambda: make_stream((1, 4), (1, 2), 0, 3), r"in 1\.\.3: \(1, 4\), \(1, 2\)",

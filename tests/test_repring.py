@@ -9,6 +9,8 @@ from ambc.cli import format_ints
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
+    _lr_kernel,
+    _lr_lowered,
     _lr_product,
     dim_f,
     dim_gl,
@@ -110,6 +112,46 @@ class TestTensorGL:
             tensor_gl((0, 1), (0, 0))
         with pytest.raises(ValueError):
             tensor_gl((1, 0), (1, 0, 0))
+
+
+class TestLRMemo:
+    """``_lr_product`` reads a memo of lowered pairs; the kernel it wraps is
+    the reference."""
+
+    SHIFTS = ((0, 0), (1, -2), (-3, 1), (2, 2), (-1, 0))
+
+    def test_every_small_lowered_pair(self):
+        # every pair of weights with last part 0, m <= 4 and parts <= 6, each
+        # raised by one of a cycle of shifts, then in the other order
+        _lr_lowered.cache_clear()
+        count = 0
+        for m in range(1, 5):
+            low = [w + (0,) for w in itertools.combinations_with_replacement(range(6, -1, -1), m - 1)]
+            for i, (mu, nu) in enumerate(itertools.product(low, repeat=2)):
+                s, t = self.SHIFTS[i % len(self.SHIFTS)]
+                mu_s = tuple(x + s for x in mu)
+                nu_s = tuple(x + t for x in nu)
+                expected = _lr_kernel(mu_s, nu_s)
+                assert _lr_product(mu_s, nu_s) == expected, (mu_s, nu_s)
+                assert _lr_product(nu_s, mu_s) == expected, (mu_s, nu_s)
+                count += 1
+        assert count == 1 + 49 + 784 + 7056
+        # one entry per unordered pair, none evicted
+        assert _lr_lowered.cache_info().currsize == 1 + 28 + 406 + 3570
+
+    def test_mutating_a_result_changes_no_later_one(self):
+        mu, nu = (2, 1, -1), (1, 1, 0)
+        expected = _lr_kernel(mu, nu)
+        first = _lr_product(mu, nu)
+        first.clear()
+        second = tensor_gl(mu, nu)
+        assert second == expected
+        second[(9, 9, 9)] = 5
+        for key in list(second):
+            second[key] += 1
+        assert _lr_product(nu, mu) == expected
+        third = tensor_f(FWeight((1, 1, 1), (mu,)), FWeight((1, 1, 1), (nu,)))
+        assert {w.blocks[0]: c for w, c in third.items()} == expected
 
 
 class TestLRReference:
