@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 Ball = tuple[int, int]
@@ -217,9 +218,10 @@ def check_gl_weight(mu: Sequence[int], m: Optional[int] = None) -> tuple[int, ..
     mu = tuple(mu)
     if not mu:
         raise ValueError("empty weight")
-    if not all(_is_int(x) for x in mu):
+    # one C-level pass over the types; bools and int subclasses take _is_int
+    if not set(map(type, mu)) <= {int} and not all(_is_int(x) for x in mu):
         raise ValueError(f"weight entries must be integers: {mu}")
-    if any(a < b for a, b in zip(mu, mu[1:])):
+    if any(map(lt, mu, mu[1:])):
         raise ValueError(f"weight is not weakly decreasing: {mu}")
     if m is not None and len(mu) != m:
         raise ValueError(f"weight length {len(mu)} != {m}")

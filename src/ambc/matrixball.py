@@ -416,9 +416,9 @@ def channel_numbering(w: PartialPerm, channel: Stream) -> Numbering:
     """The numbering of the balls of w induced by a channel of w."""
     chan = channel.domain()
     if set(chan) - set(w.domain()) or any(w.window[x - 1] != y for x, y in channel.pairs):
-        raise ValueError("the given stream is not a substream of w")
+        raise ValueError(f"the given stream is not a substream of w: {_inputs(w, channel)}")
     if channel.density() != _max_density(w.window, w.n):
-        raise ValueError("the given stream is not a channel (density not maximal)")
+        raise ValueError(f"the given stream is not a channel (density not maximal): {_inputs(w, channel)}")
     xs, vs = _balls(w.window)
     lab = _channel_labels(xs, vs, tuple(xs.index(x) for x in chan), w.n)
     return Numbering(w.n, channel.density(), tuple(zip(xs, lab)))
@@ -675,11 +675,16 @@ def _check_compatible(w: PartialPerm, s: Stream) -> None:
     if w.n != s.n:
         raise ValueError(f"period mismatch: {w.n} != {s.n}")
     if set(w.domain()) & set(s.domain()):
-        raise ValueError("stream and permutation domains overlap")
+        raise ValueError(f"stream and permutation domains overlap: {_inputs(w, s)}")
     if set(w.codomain_residues()) & set(s.codomain()):
-        raise ValueError("stream and permutation values overlap modulo n")
+        raise ValueError(f"stream and permutation values overlap modulo n: {_inputs(w, s)}")
     if w.domain() and s.density() < _max_density(w.window, w.n):
-        raise ValueError("stream density below a substream of w: not compatible")
+        raise ValueError(f"stream density below a substream of w: not compatible: {_inputs(w, s)}")
+
+
+def _inputs(w: PartialPerm, s: Stream) -> str:
+    """The inputs of a stream check, for its error message."""
+    return f"n={w.n}, window={w.window}, stream={s.pairs}"
 
 
 def _bk_win(win: Win, n: int, spairs) -> Win:

@@ -295,8 +295,9 @@ def lr_by_tableaux(mu: Sequence[int], nu: Sequence[int], max_rows: int) -> dict[
     Expand s_mu * s_nu over partitions with at most max_rows rows by
     enumerating every shape kappa containing mu and counting the
     Littlewood-Richardson tableaux of shape kappa/mu and content nu;
-    ``repring._lr_product`` reaches the same coefficients on dominant
-    weights, unshifted, in one pass over horizontal strips.
+    the kernel ``repring._lr_kernel`` reaches the same coefficients on
+    dominant weights, unshifted, in one pass over horizontal strips
+    (``repring._lr_product`` reads it through a memo of lowered pairs).
     """
     mu = tuple(p for p in mu if p)
     nu = tuple(p for p in nu if p)

@@ -8,16 +8,20 @@ they are: the labels of the factor with fewer boxes above its last part are
 placed in a single pass on the other factor raised by that last part, each
 label's boxes as a horizontal strip whose row counts keep the lattice-word
 condition.  Strips read only differences of parts, so no weight is shifted
-to a partition and back.  Every product (``tensor_gl``, ``tensor_f`` and the
-J-ring's) goes through one memo of the last 4096 pairs of weights lowered to
-last part 0, kept as flat tuples and shifted back on each call.  The Weyl
-dimension formula is included as a verification oracle.
+to a partition and back.  That pass is the kernel, ``_lr_kernel``.  Every
+product (``tensor_gl``, ``tensor_f`` and the J-ring's) reads it through
+``_lr_product`` and one memo of the last 4096 pairs of weights lowered to
+last part 0.  Each entry is two flat tuples, every summand's parts end to end
+and then the multiplicities, shifted back into a new dict on each call.  The
+Weyl dimension formula is included as a verification oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import lt, sub
 from typing import Sequence
 
 from .affine import InvariantError, _trusted, check_gl_weight, check_partition
@@ -146,32 +150,34 @@ def _lr_kernel(mu: GLWeight, nu: GLWeight) -> VirtualChar:
 
 
 @lru_cache(maxsize=4096)
-def _lr_lowered(mu: GLWeight, nu: GLWeight) -> tuple[int, ...]:
-    """``_lr_kernel`` on two weights with last part 0, stored flat (each
-    summand's m parts, then its multiplicity): a third of the memory of a
-    tuple of (weight, multiplicity) items."""
-    return tuple(x for kappa, c in _lr_kernel(mu, nu).items() for x in kappa + (c,))
+def _lr_lowered(mu: GLWeight, nu: GLWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_lr_kernel`` on two weights with last part 0, stored as two flat
+    tuples in the kernel's key order: every summand's m parts end to end,
+    then the multiplicities.  Under two fifths of the memory of a tuple of
+    (weight, multiplicity) items."""
+    product = _lr_kernel(mu, nu)
+    return tuple(chain.from_iterable(product)), tuple(product.values())
 
 
 def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     """
-    ``_lr_kernel`` through a memo of lowered pairs: subtracting the last part
-    from each weight shifts every summand by their sum, and the product is
-    symmetric, so each unordered pair of lowered weights is decomposed once.
-    The memo keeps the last 4096 pairs; each call builds a new dict.
+    ``_lr_kernel`` through the memo ``_lr_lowered``: subtracting the last
+    part from each weight shifts every summand by their sum, and the product
+    is symmetric, so each unordered pair of lowered weights is decomposed
+    once.  The memo keeps the last 4096 pairs; each call builds a new dict
+    from the stored parts, shifted back by the sum, regrouped m at a time
+    and paired with the multiplicities.
 
     >>> _lr_product((3, 2, 1), (1, 0, -1))[(3, 2, 1)]
     2
     """
-    low = mu[-1] + nu[-1]
-    a = tuple(x - mu[-1] for x in mu)
-    b = tuple(x - nu[-1] for x in nu)
-    flat = _lr_lowered(a, b) if a <= b else _lr_lowered(b, a)
-    m = len(mu)
-    step = m + 1
-    if low:
-        return {tuple(x + low for x in flat[i:i + m]): flat[i + m] for i in range(0, len(flat), step)}
-    return {flat[i:i + m]: flat[i + m] for i in range(0, len(flat), step)}
+    low_mu, low_nu = mu[-1], nu[-1]
+    a = tuple(map(sub, mu, repeat(low_mu)))
+    b = tuple(map(sub, nu, repeat(low_nu)))
+    parts, mults = _lr_lowered(a, b) if a <= b else _lr_lowered(b, a)
+    low = low_mu + low_nu
+    it = map(low.__add__, parts) if low else iter(parts)
+    return dict(zip(zip(*[it] * len(mu)), mults))
 
 
 def tensor_gl(mu: Sequence[int], nu: Sequence[int]) -> VirtualChar:
@@ -207,7 +213,7 @@ def _block_product(blocks1, blocks2) -> list[tuple[tuple[GLWeight, ...], int]]:
     for b1, b2 in zip(blocks1, blocks2):
         factor = _lr_product(b1, b2)
         for kappa in factor:
-            if any(x < y for x, y in zip(kappa, kappa[1:])):
+            if any(map(lt, kappa, kappa[1:])):
                 raise InvariantError(f"tensor product of {b1} and {b2} gave the non-dominant weight {kappa}")
         combos = [
             (blocks + (w,), c * mult) for blocks, c in combos for w, mult in factor.items()

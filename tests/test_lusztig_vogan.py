@@ -4,6 +4,8 @@ import random
 import pytest
 
 from ambc.affine import (
+    AffinePerm,
+    InvariantError,
     from_dominant_weight,
     min_double_coset_rep,
     parse_window,
@@ -194,6 +196,14 @@ class TestBijection:
         weight = FWeight((2, 2, 1, 1, 1), ((0, 0), (1, 0, -1)))
         assert theta1_inverse((2, 2, 1, 1, 1), weight) == (5, 2, 1, 0, -1, -2, -5)
         assert calls == [(2, 2, 1, 1, 1)]
+
+    def test_representative_outside_the_canonical_cell(self, monkeypatch):
+        # theta1's internal check: a representative whose tabloids are not the
+        # canonical pair of its shape is a corrupt state, not a bad input
+        monkeypatch.setattr(lusztig_vogan, "min_double_coset_rep", lambda w: AffinePerm(3, (2, 1, 3)))
+        msg = r"double-coset representative escaped the canonical cell: \(\(1, 3\), \(2,\)\) vs \(\(2, 3\), \(1,\)\)"
+        with pytest.raises(InvariantError, match=msg):
+            theta1((0, 0, 0))
 
 
 class TestWChannels:

@@ -429,10 +429,10 @@ class TestBackwardNumbering:
 
     def test_incompatible_stream(self):
         w = PartialPerm(4, (1, None, None, None))
-        with pytest.raises(ValueError):
-            backward_numbering(w, make_stream((1,), (2,), 0, 4))  # domain overlap
-        with pytest.raises(ValueError):
-            backward_numbering(w, make_stream((2,), (1,), 0, 4))  # value overlap
+        with pytest.raises(ValueError, match="domains overlap"):
+            backward_numbering(w, make_stream((1,), (2,), 0, 4))
+        with pytest.raises(ValueError, match="values overlap modulo n"):
+            backward_numbering(w, make_stream((2,), (1,), 0, 4))
 
 
 class TestBackwardStep:
@@ -770,15 +770,27 @@ class TestMalformedInputs:
             pytest.param(lambda: make_stream((1, 1), (1, 2), 0, 3), r"distinct: \(1, 1\), \(1, 2\)",
                          id="make-stream-repeated"),
             pytest.param(lambda: channel_numbering(PartialPerm(3, (1, 2, 3)), Stream(3, ((1, 2),))),
-                         "not a substream", id="channel-not-substream"),
+                         r"not a substream of w: n=3, window=\(1, 2, 3\), stream=\(\(1, 2\),\)",
+                         id="channel-not-substream"),
+            pytest.param(lambda: channel_numbering(PartialPerm(3, (1, 2, 3)), Stream(3, ((1, 1),))),
+                         r"not a channel \(density not maximal\): n=3, window=\(1, 2, 3\), stream=\(\(1, 1\),\)",
+                         id="channel-density-not-maximal"),
             pytest.param(lambda: backward_step(PartialPerm(3, (None,) * 3), Stream(2, ((1, 1),))),
                          "period mismatch: 3 != 2", id="backward-period-mismatch"),
             pytest.param(lambda: backward_step(PartialPerm(4, (1, 2, None, None)), Stream(4, ((3, 3),))),
-                         "density below", id="backward-density-too-low"),
+                         r"density below a substream of w: not compatible: n=4, window=\(1, 2, None, None\), "
+                         r"stream=\(\(3, 3\),\)", id="backward-density-too-low"),
+            pytest.param(lambda: backward_step(PartialPerm(3, (1, None, None)), Stream(3, ((1, 2),))),
+                         r"domains overlap: n=3, window=\(1, None, None\), stream=\(\(1, 2\),\)",
+                         id="backward-domains-overlap"),
+            pytest.param(lambda: backward_step(PartialPerm(3, (1, None, None)), Stream(3, ((2, 4),))),
+                         r"values overlap modulo n: n=3, window=\(1, None, None\), stream=\(\(2, 4\),\)",
+                         id="backward-values-overlap"),
             pytest.param(lambda: DomTriple(ROW2, ROW2, (0, 0)), "rho length 2 != rows 1",
                          id="triple-rho-length"),
             pytest.param(lambda: FWeight((2, 1), ((0,),)), r"expected 2 blocks for shape \(2, 1\), got \(\(0,\),\)",
                          id="fweight-block-count"),
+            pytest.param(lambda: FWeight((1, 1), ((0,),)), "weight length 1 != 2", id="fweight-block-length"),
             pytest.param(lambda: FWeight((2, 1), ((0,), (0,))).block_of_part(3), r"3 is not a part of \(2, 1\)",
                          id="block-of-missing-part"),
             pytest.param(lambda: fweight_from_rows((2, 1), (0,)), "vector length 1 != rows 2",

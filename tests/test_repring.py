@@ -1,11 +1,13 @@
+import enum
 import itertools
 import random
 
 import pytest
 
 from ambc import repring
-from ambc.affine import InvariantError
+from ambc.affine import InvariantError, from_dominant_weight
 from ambc.cli import format_ints
+from ambc.lusztig_vogan import theta1
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
     FWeight,
@@ -108,10 +110,51 @@ class TestTensorGL:
             assert dec == {tuple(x + c for x in mu): 1}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weight is not weakly decreasing: \(0, 1\)"):
             tensor_gl((0, 1), (0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weight length 3 != 2"):
             tensor_gl((1, 0), (1, 0, 0))
+
+
+class TestWeightCheckCallers:
+    """``check_gl_weight`` means the same through every public caller: one
+    pass over the entry types that falls back to ``_is_int`` (bools out, int
+    subclasses in), then one pass for the order."""
+
+    CALLERS = {
+        "tensor_gl": lambda w: tensor_gl(w, w),
+        "tensor_gl-second": lambda w: tensor_gl((0,) * (len(w) or 1), w),
+        "from_dominant_weight": from_dominant_weight,
+        "theta1": theta1,
+        "FWeight": lambda w: FWeight((1,) * (len(w) or 1), (w,)),
+        "dim_gl": dim_gl,
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            pytest.param((True, 0), r"weight entries must be integers: \(True, 0\)", id="bool"),
+            pytest.param((0, False), r"weight entries must be integers: \(0, False\)", id="bool-last"),
+            pytest.param((1.0, 0), r"weight entries must be integers: \(1\.0, 0\)", id="float"),
+            pytest.param((0, 1), r"weight is not weakly decreasing: \(0, 1\)", id="increasing"),
+            pytest.param((), "empty weight", id="empty"),
+        ],
+    )
+    def test_rejected(self, caller, weight, message):
+        with pytest.raises(ValueError, match=message):
+            self.CALLERS[caller](weight)
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_int_enum_entries_act_as_ints(self, caller):
+        class Level(enum.IntEnum):
+            HIGH = 2
+            MID = 1
+            LOW = -1
+
+        call = self.CALLERS[caller]
+        assert call((Level.HIGH, Level.MID, Level.LOW)) == call((2, 1, -1))
+        assert call((Level.MID, 0, Level.LOW)) == call((1, 0, -1))
 
 
 class TestLRMemo:
@@ -122,7 +165,9 @@ class TestLRMemo:
 
     def test_every_small_lowered_pair(self):
         # every pair of weights with last part 0, m <= 4 and parts <= 6, each
-        # raised by one of a cycle of shifts, then in the other order
+        # raised by one of a cycle of shifts, then in the other order: both
+        # equal the kernel in the caller's order, with the keys in the order
+        # of the kernel on the memo's ordered pair
         _lr_lowered.cache_clear()
         count = 0
         for m in range(1, 5):
@@ -132,8 +177,12 @@ class TestLRMemo:
                 mu_s = tuple(x + s for x in mu)
                 nu_s = tuple(x + t for x in nu)
                 expected = _lr_kernel(mu_s, nu_s)
-                assert _lr_product(mu_s, nu_s) == expected, (mu_s, nu_s)
-                assert _lr_product(nu_s, mu_s) == expected, (mu_s, nu_s)
+                ordered = expected if mu <= nu else _lr_kernel(nu_s, mu_s)
+                for product in (_lr_product(mu_s, nu_s), _lr_product(nu_s, mu_s)):
+                    assert product == expected, (mu_s, nu_s)
+                    assert list(product) == list(ordered), (mu_s, nu_s)
+                parts, mults = _lr_lowered(*sorted((mu, nu)))
+                assert len(parts) == m * len(mults), (mu, nu)
                 count += 1
         assert count == 1 + 49 + 784 + 7056
         # one entry per unordered pair, none evicted
