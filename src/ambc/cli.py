@@ -48,7 +48,9 @@ def read_json(text: str, what: str, keys: Sequence[str] = ()):
 
 
 def compact_json(data) -> str:
-    """JSON without spaces, the form of every JSON text format."""
+    """JSON without spaces, the form of the triple, J-element and LV-pair
+    formats; the ``involutions``, ``tensor`` and ``self-check`` commands print
+    ``json.dumps``'s default ", " and ": " separators instead."""
     return json.dumps(data, separators=(",", ":"))
 
 

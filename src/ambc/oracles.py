@@ -310,8 +310,6 @@ def lr_by_tableaux(mu: Sequence[int], nu: Sequence[int], max_rows: int) -> dict[
     out: dict[tuple[int, ...], int] = {}
 
     def kappas(row: int, prev: int, used: int):
-        if used > total:
-            return
         if row == max_rows:
             if used == total:
                 yield ()
@@ -326,7 +324,7 @@ def lr_by_tableaux(mu: Sequence[int], nu: Sequence[int], max_rows: int) -> dict[
 
     for kappa in kappas(0, total, 0):
         kappa = tuple(p for p in kappa if p)
-        if len(kappa) < len(mu) or sum(kappa) != total:
+        if len(kappa) < len(mu):  # max_rows < len(mu): kappa cannot contain mu
             continue
         coeff = _lr_tableau_count(kappa, mu, nu)
         if coeff:
@@ -336,12 +334,11 @@ def lr_by_tableaux(mu: Sequence[int], nu: Sequence[int], max_rows: int) -> dict[
 
 def _ssyt_monomials(shape: tuple[int, ...], m: int) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the Schur polynomial in m variables: sum over
-    semistandard tableaux of the shape with entries in 1..m."""
+    semistandard tableaux of the shape with entries in 1..m (none, so {},
+    when the shape has more than m rows)."""
     shape = tuple(p for p in shape if p)
     if not shape:
         return {(0,) * m: 1}
-    if len(shape) > m:
-        return {}
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r])]
     out: dict[tuple[int, ...], int] = {}
     filling: dict[tuple[int, int], int] = {}

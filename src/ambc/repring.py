@@ -11,8 +11,9 @@ condition.  Strips read only differences of parts, so no weight is shifted
 to a partition and back.  That pass is the kernel, ``_lr_kernel``.  Every
 product (``tensor_gl``, ``tensor_f`` and the J-ring's) reads it through
 ``_lr_product`` and one memo of the last 4096 pairs of weights lowered to
-last part 0.  Each entry is two flat tuples, every summand's parts end to end
-and then the multiplicities, shifted back into a new dict on each call.  The
+last part 0.  Each entry's weights are checked dominant once, when the memo
+stores it, and kept as two flat tuples, every summand's parts end to end and
+then the multiplicities, shifted back into a new dict on each call.  The
 Weyl dimension formula is included as a verification oracle.
 """
 from __future__ import annotations
@@ -98,7 +99,9 @@ def _lr_kernel(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     + ... + prev_{r-1} against the previous label's.  That condition keeps
     label j + 1 out of the rows above row j; the last row takes what is
     left.  Equal (weight, row counts) states merge with their multiplicities
-    added, the final label's by weight alone.
+    added, and after the last label they merge by weight.  The weights are
+    not checked dominant here: ``_lr_lowered``, the one caller, checks each
+    product once as it stores it.
 
     >>> _lr_kernel((2, 1, 0), (2, 1, 0))[(3, 2, 1)]
     2
@@ -109,13 +112,9 @@ def _lr_kernel(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     low = nu[-1]
     raised = tuple(x + low for x in mu)
     labels = [x - low for x in nu[:-1] if x > low]
-    if not labels:
-        return {raised: 1}
     states = {(raised, (0,) * m): 1}
-    out: VirtualChar = {}
-    final = len(labels) - 1
     for j, k in enumerate(labels):
-        nxt: dict = {} if j < final else out
+        nxt: dict = {}
         for (kappa, prev), mult in states.items():
             # label 1 is free of the lattice condition
             stack = [(j, k, prev[j - 1] if j else k, kappa[:j], (0,) * j)]
@@ -132,30 +131,36 @@ def _lr_kernel(mu: GLWeight, nu: GLWeight) -> VirtualChar:
                     if left > slack + prev[r]:  # the last row breaks the lattice condition
                         continue
                     for a in range(lo, hi + 1):
-                        key = head + (kappa[r] + a, kappa[-1] + left - a)
-                        if j < final:
-                            key = (key, adds + (a, left - a))
+                        key = (head + (kappa[r] + a, kappa[-1] + left - a), adds + (a, left - a))
                         nxt[key] = nxt.get(key, 0) + mult
                     continue
                 for a in range(lo, hi + 1):
                     if a == left:  # the strip is complete
-                        key = head + (kappa[r] + a,) + kappa[r + 1:]
-                        if j < final:
-                            key = (key, adds + (a,) + (0,) * (m - r - 1))
+                        key = (head + (kappa[r] + a,) + kappa[r + 1:], adds + (a,) + (0,) * (m - r - 1))
                         nxt[key] = nxt.get(key, 0) + mult
                     else:
                         stack.append((r + 1, left - a, slack - a + prev[r], head + (kappa[r] + a,), adds + (a,)))
         states = nxt
+    out: VirtualChar = {}
+    for (kappa, _), mult in states.items():
+        out[kappa] = out.get(kappa, 0) + mult
     return out
 
 
 @lru_cache(maxsize=4096)
 def _lr_lowered(mu: GLWeight, nu: GLWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_lr_kernel`` on two weights with last part 0, stored as two flat
-    tuples in the kernel's key order: every summand's m parts end to end,
-    then the multiplicities.  Under two fifths of the memory of a tuple of
-    (weight, multiplicity) items."""
+    """``_lr_kernel`` on two weights with last part 0, each summand checked
+    dominant once as the pair is stored (an InvariantError naming the pair
+    if not, and nothing stored), kept as two flat tuples in the kernel's key
+    order: every summand's m parts end to end, then the multiplicities.
+    Under two fifths of the memory of a tuple of (weight, multiplicity)
+    items."""
     product = _lr_kernel(mu, nu)
+    for kappa in product:
+        if any(map(lt, kappa, kappa[1:])):
+            raise InvariantError(
+                f"tensor product of the lowered pair {mu} and {nu} gave the non-dominant weight {kappa}"
+            )
     return tuple(chain.from_iterable(product)), tuple(product.values())
 
 
@@ -164,9 +169,9 @@ def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     ``_lr_kernel`` through the memo ``_lr_lowered``: subtracting the last
     part from each weight shifts every summand by their sum, and the product
     is symmetric, so each unordered pair of lowered weights is decomposed
-    once.  The memo keeps the last 4096 pairs; each call builds a new dict
-    from the stored parts, shifted back by the sum, regrouped m at a time
-    and paired with the multiplicities.
+    and checked once.  The memo keeps the last 4096 pairs; each call builds
+    a new dict from the stored parts, shifted back by the sum, regrouped m
+    at a time and paired with the multiplicities.
 
     >>> _lr_product((3, 2, 1), (1, 0, -1))[(3, 2, 1)]
     2
@@ -175,8 +180,7 @@ def _lr_product(mu: GLWeight, nu: GLWeight) -> VirtualChar:
     a = tuple(map(sub, mu, repeat(low_mu)))
     b = tuple(map(sub, nu, repeat(low_nu)))
     parts, mults = _lr_lowered(a, b) if a <= b else _lr_lowered(b, a)
-    low = low_mu + low_nu
-    it = map(low.__add__, parts) if low else iter(parts)
+    it = map((low_mu + low_nu).__add__, parts)
     return dict(zip(zip(*[it] * len(mu)), mults))
 
 
@@ -206,17 +210,14 @@ def tensor_f(r1: FWeight, r2: FWeight) -> VirtualChar:
 def _block_product(blocks1, blocks2) -> list[tuple[tuple[GLWeight, ...], int]]:
     """
     tensor_f on the blocks of two dominant weights of one shape: one (blocks,
-    multiplicity) per summand, each factor decomposed once and its weights
-    checked dominant once (an InvariantError naming the factor if not).
+    multiplicity) per summand, each factor decomposed once by
+    ``_lr_product``, whose weights the memo has already checked dominant.
     """
     combos: list[tuple[tuple[GLWeight, ...], int]] = [((), 1)]
     for b1, b2 in zip(blocks1, blocks2):
-        factor = _lr_product(b1, b2)
-        for kappa in factor:
-            if any(map(lt, kappa, kappa[1:])):
-                raise InvariantError(f"tensor product of {b1} and {b2} gave the non-dominant weight {kappa}")
+        factor = _lr_product(b1, b2).items()
         combos = [
-            (blocks + (w,), c * mult) for blocks, c in combos for w, mult in factor.items()
+            (blocks + (w,), c * mult) for blocks, c in combos for w, mult in factor
         ]
     return combos
 

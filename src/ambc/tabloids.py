@@ -82,12 +82,8 @@ def tau(t: Tabloid) -> frozenset[int]:
     the top, and "above" means a smaller row index; this calibration makes
     tau of the reverse-row superstandard tabloid land inside {n}.
     """
-    return frozenset(tau_rows(t.rows, t.n))
-
-
-def tau_rows(rows: Rows, n: int) -> tuple[int, ...]:
-    idx = _row_index(rows)
-    return tuple(i for i in range(1, n + 1) if idx[i] < idx[i % n + 1])
+    idx = _row_index(t.rows)
+    return frozenset(i for i in range(1, t.n + 1) if idx[i] < idx[i % t.n + 1])
 
 
 def local_charge(t: Tabloid, i: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shlex
@@ -118,6 +119,11 @@ class TestInvolutions:
         code, out, _ = run(capsys, "--format", "json", "involutions", "--shape", "2,2")
         data = json.loads(out)
         assert code == 0 and data["count"] == 6 and len(data["windows"]) == 6
+        # json.dumps's default separators, unlike the compact formats
+        assert out == (
+            '{"count": 6, "windows": [[-1, 0, 5, 6], [-1, 4, 5, 2], [0, 3, 2, 5], '
+            '[2, 1, 4, 3], [3, 0, 1, 6], [3, 4, 1, 2]]}\n'
+        )
 
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "involutions", "--shape", "1,3")
@@ -235,6 +241,7 @@ class TestTensor:
             {"mult": 1, "weight": [2, 0]},
             {"mult": 1, "weight": [1, 1]},
         ]
+        assert out == '[{"mult": 1, "weight": [2, 0]}, {"mult": 1, "weight": [1, 1]}]\n'
 
     def test_length_mismatch(self, capsys):
         code, _, err = run(capsys, "tensor", "--m", "3", "1,0", "1,0")
@@ -300,6 +307,14 @@ class TestSelfCheck:
         code, out, _ = run(capsys, "--format", "json", "self-check", "--samples", "4")
         data = json.loads(out)
         assert all(d["passed"] for d in data)
+        # json.dumps's default separators, unlike the compact formats; the
+        # 129 reports of --samples 0 are pinned by their digest
+        code, out, _ = run(capsys, "--format", "json", "self-check", "--samples", "0")
+        assert code == 0 and out.startswith(
+            '[{"case": "epsilon[0] lam=(2,)", "expected": "(-2,)", "actual": "(-2,)", "passed": true}, {"case": '
+        )
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "e0c9159190fbb10aea7889eb3db267ea1ae0c48ba90e9a6dd2baed3dbba73758"
 
     def test_negative_samples_rejected(self, capsys):
         code, out, err = run(capsys, "self-check", "--samples=-1")

@@ -6,8 +6,9 @@ module level (so their import graphs are the ones their headers show), the
 command line alone reads and writes the text formats (``affine`` keeps the
 window format), no library name outside the oracles serves only the tests,
 outside ``matrixball`` only the star probe and the oracles read the raw
-forward and backward kernels, and the library
-checks its invariants without ``assert`` (which ``python -O`` strips)."""
+forward and backward kernels, only the checked memo reads the LR kernel, and
+the library checks its invariants without ``assert`` (which ``python -O``
+strips)."""
 import ast
 from pathlib import Path
 
@@ -163,14 +164,15 @@ def test_text_formats_only_in_cli():
 KERNELS = {"_phi_win", "_psi_rows"}
 
 
-def kernel_readers(tree: ast.Module) -> set[str]:
+def kernel_readers(tree: ast.Module, kernels=KERNELS) -> set[str]:
     """The module-level definitions (``<module>`` for other statements) that
-    name the unchecked forward or backward kernel; imports do not count."""
+    name one of ``kernels``, by default the unchecked forward and backward
+    kernels; imports and docstrings do not count."""
     found = set()
     for top in tree.body:
         owner = top.name if isinstance(top, SCOPES) else "<module>"
         for node in ast.walk(top):
-            if getattr(node, "id", getattr(node, "attr", None)) in KERNELS:
+            if getattr(node, "id", getattr(node, "attr", None)) in kernels:
                 found.add(owner)
     return found
 
@@ -181,6 +183,7 @@ def test_scanner_finds_kernel_readers():
         "def g():\n    return m._psi_rows\ndef h():\n    return _phi\n"
     )
     assert kernel_readers(tree) == {"<module>", "g"}
+    assert kernel_readers(tree, {"_phi"}) == {"h"}
 
 
 def test_raw_kernels_stay_behind_checked_cores():
@@ -195,6 +198,17 @@ def test_raw_kernels_stay_behind_checked_cores():
         if (path.stem, owner) != ("cells", "_star_probe")
     ]
     assert not found, found
+
+
+def test_lr_kernel_only_behind_its_checked_memo():
+    # _lr_lowered checks each LR product dominant as it stores it, so no
+    # library caller may reach the kernel around it
+    found = {
+        f"{path.stem}.{owner}"
+        for path in LIBRARY
+        for owner in kernel_readers(ast.parse(path.read_text(), str(path)), {"_lr_kernel"})
+    }
+    assert found == {"repring._lr_lowered"}, found
 
 
 def assert_lines(tree: ast.AST) -> list[int]:

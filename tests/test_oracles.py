@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ambc.affine import AffinePerm, PartialPerm, conjugate_partition, identity, partitions
+from ambc import oracles
+from ambc.affine import AffinePerm, InvariantError, PartialPerm, conjugate_partition, identity, partitions
 from ambc.matrixball import (
     _balls,
     _bk_labels,
@@ -34,6 +35,7 @@ from ambc.oracles import (
     self_check,
     settle_by_decrement,
     _random_affine_perm,
+    _ssyt_monomials,
 )
 from ambc.repring import tensor_gl
 from ambc.tabloids import anticanonical_tabloid
@@ -76,6 +78,8 @@ class TestBruteChannels:
     def test_guard(self):
         with pytest.raises(ValueError):
             brute_channels(identity(9))
+        with pytest.raises(ValueError, match="empty permutation has no channels"):
+            brute_channels(PartialPerm(3, (None, None, None)))
 
 
 def reversed_block_windows(max_n):
@@ -112,6 +116,13 @@ class TestBruteSouthwestChannel:
         for win, n in wins:
             w = PartialPerm(n, win)
             assert southwest_channel(w) == brute_southwest_channel(w), (win, n)
+
+    def test_uniqueness_guard(self, monkeypatch):
+        # with every channel dominating every other, the 3 channels of the
+        # longest element all qualify
+        monkeypatch.setattr(oracles, "dominates_by_translates", lambda c, other, n: True)
+        with pytest.raises(InvariantError, match=r"unique southwest channel, found 3: \(3, 2, 1\)"):
+            brute_southwest_channel(AffinePerm(3, (3, 2, 1)))
 
 
 def backward_steps(win, n):
@@ -152,6 +163,13 @@ class TestSettleByDecrement:
             for spread in (1, 2, 4, 8):
                 self.check(_random_affine_perm(rng, n, spread).window, n)
 
+    def test_cap(self, monkeypatch):
+        # two balls of one chain against a stream of density 1 have no
+        # settled labeling, so the labels fall until the cap
+        monkeypatch.setattr(oracles, "_DECREMENT_CAP", 100)
+        with pytest.raises(InvariantError, match="exceeded 100 steps"):
+            settle_by_decrement([1, 2], [1, 2], [5, 5], 2, 1)
+
 
 def forward_windows(win, n):
     """The window before every forward step of phi(w), first step first."""
@@ -180,6 +198,14 @@ class TestChannelLabelsRoundRobin:
         for n in (5, 8, 12, 16, 24, 32, 48, 64):
             for _ in range(3):
                 self.check(_random_affine_perm(rng, n, rng.choice((1, 2, 4, 8))).window, n)
+
+    def test_not_a_channel(self):
+        # a single ball of a density-2 chain: the labels rise without bound
+        with pytest.raises(InvariantError, match="failed to stabilize"):
+            channel_labels_round_robin((-1, 0), 2, [1])
+        # two balls that are no chain: the labels settle above the channel's
+        with pytest.raises(InvariantError, match="moved a channel ball"):
+            channel_labels_round_robin((-2, -1, 3), 3, [1, 3])
 
 
 class TestSettleOrder:
@@ -379,6 +405,17 @@ class TestStreamFamilies:
         with pytest.raises(ValueError):
             brute_complete_stream_families(identity(11))
 
+    def test_epsilon_guards(self, monkeypatch):
+        w = AffinePerm(3, (1, 2, 6))
+        monkeypatch.setattr(oracles, "brute_complete_stream_families", lambda w: [])
+        with pytest.raises(ValueError, match="no complete stream family"):
+            epsilon_from_families(w)
+        # the stream through position 3 has altitude 1, the others 0
+        families = [((1, 2), (3,)), ((1, 3), (2,))]
+        monkeypatch.setattr(oracles, "brute_complete_stream_families", lambda w: families)
+        with pytest.raises(ValueError, match=r"family-dependent weight: \[\(0, 1\), \(1, 0\)\]"):
+            epsilon_from_families(w)
+
 
 class TestForwardStepBookkeeping:
     @staticmethod
@@ -440,6 +477,16 @@ class TestBruteSchur:
     def test_guard(self):
         with pytest.raises(ValueError):
             brute_schur_product((1, 0, 0, 0), (1, 0, 0, 0), 4)
+
+    def test_lex_leading_guard(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_poly_mul", lambda p, q, m: {(0, 1): 1})
+        with pytest.raises(ValueError, match=r"lex-leading exponent \(0, 1\) is not dominant"):
+            brute_schur_product((0, 0), (0, 0), 2)
+
+    def test_more_rows_than_variables(self):
+        # no semistandard filling of a column of 3 with entries in 1..2
+        assert _ssyt_monomials((1, 1, 1), 2) == {}
+        assert _ssyt_monomials((2, 1), 2) == {(2, 1): 1, (1, 2): 1}
 
 
 class TestSelfCheck:

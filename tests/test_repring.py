@@ -7,6 +7,7 @@ import pytest
 from ambc import repring
 from ambc.affine import InvariantError, from_dominant_weight
 from ambc.cli import format_ints
+from ambc.jring import t_multiply, unit
 from ambc.lusztig_vogan import theta1
 from ambc.oracles import brute_schur_product, lr_by_tableaux
 from ambc.repring import (
@@ -217,6 +218,10 @@ class TestLRReference:
                 count += 1
         assert count == 7889
 
+    def test_fewer_rows_than_mu(self):
+        # no shape of at most 2 rows contains (1, 1, 1)
+        assert lr_by_tableaux((1, 1, 1), (1,), 2) == {}
+
     def test_seeded_partitions(self):
         rng = random.Random(6)
         for _ in range(300):
@@ -337,12 +342,37 @@ class TestTensorF:
             tensor_f(zero_fweight((2, 1)), zero_fweight((3,)))
 
     def test_non_dominant_factor_names_blocks(self, monkeypatch):
-        monkeypatch.setattr(repring, "_lr_product", lambda mu, nu: {(0, 1): 1})
+        # the memo checks each kernel result once, as it stores it: a
+        # non-dominant weight raises through every product, naming the
+        # lowered pair the kernel was given, and nothing is stored
+        _lr_lowered.cache_clear()
+        tensor_gl((1, 0), (2, 1))
+        size = _lr_lowered.cache_info().currsize
+        calls = []
+
+        def broken(mu, nu):
+            calls.append((mu, nu))
+            return {(0, 1): 1}
+
+        monkeypatch.setattr(repring, "_lr_kernel", broken)
         r1 = FWeight((2, 2, 1), ((1, 0), (2,)))
         r2 = FWeight((2, 2, 1), ((0, -3), (-1,)))
-        msg = r"tensor product of \(1, 0\) and \(0, -3\) gave the non-dominant weight \(0, 1\)"
-        with pytest.raises(InvariantError, match=msg):
-            tensor_f(r1, r2)
+        # a distinguished involution of the cell of (2, 2, 1): t_d * t_d = t_d
+        d = next(iter(unit((2, 2, 1), 5)))
+        products = [
+            (lambda: tensor_gl((2, -1), (0, 0)), ((0, 0), (3, 0))),
+            (lambda: tensor_f(r1, r2), ((1, 0), (3, 0))),
+            (lambda: t_multiply(d, d), ((0, 0), (0, 0))),
+        ]
+        for product, pair in products:
+            calls.clear()
+            with pytest.raises(InvariantError) as raised:
+                product()
+            assert calls == [pair]
+            assert str(raised.value) == (
+                f"tensor product of the lowered pair {pair[0]} and {pair[1]} gave the non-dominant weight (0, 1)"
+            )
+            assert _lr_lowered.cache_info().currsize == size
 
 
 class TestDeterminantal:
