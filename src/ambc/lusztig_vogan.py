@@ -9,6 +9,13 @@ reversal) a dominant weight of the attached product group.  Backward: feed
 the weight through the backward map at the canonical tabloid and collect the
 window's block diagonals.
 
+The forward map commutes with the determinant twist: theta1(mu + c) adds
+c*p to every entry of the block of part p.  So theta1 lowers mu by its last
+part and reads ``_theta_lowered``, a memo of the last 4096 lowered weights.
+Each entry holds the shape and the weight blocks as tuples, stored only
+after the forward image is checked to be the canonical tabloid pair; a fill
+that raises stores nothing.  The backward direction keeps no memo.
+
 The integer tableaux built here (balanced columns, with the first-row
 entries topped up by a minimal-square water filling) give the dominant
 weights matched to the one-row generator weights; they are exercised by the
@@ -17,20 +24,26 @@ test suite as an independent cross-check of both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 from .affine import (
     AffinePerm,
     InvariantError,
+    _trusted,
+    check_gl_weight,
     check_partition,
     conjugate_partition,
     from_dominant_weight,
     min_double_coset_rep,
     window_diagonals,
 )
-from .cells import _from_coordinates, upsilon
+from .cells import _from_coordinates
+from .matrixball import _forward
 from .repring import FWeight
-from .tabloids import _canonical_rows, canonical_tabloid
+from .tabloids import Blocks, _canonical_rows
 
 
 @dataclass(frozen=True)
@@ -54,13 +67,31 @@ def theta1(mu: Sequence[int]) -> LVPair:
     >>> theta1((0, 0, 0)) == LVPair((3,), FWeight((3,), ((0,),)))
     True
     """
-    p, q, weight = upsilon(min_double_coset_rep(from_dominant_weight(mu)))
-    can = canonical_tabloid(p.shape())
+    mu = check_gl_weight(mu)
+    low = mu[-1]
+    lam, blocks = _theta_lowered(tuple(map(sub, mu, repeat(low))))
+    if low:  # part p of lam adds low * p to each entry of its block
+        blocks = tuple(
+            tuple(map((low * part).__add__, block)) for part, block in zip(dict.fromkeys(lam), blocks)
+        )
+    return _trusted(LVPair, lam, _trusted(FWeight, lam, blocks))
+
+
+@lru_cache(maxsize=4096)
+def _theta_lowered(mu: tuple[int, ...]) -> tuple[tuple[int, ...], Blocks]:
+    """theta1 of a checked weight with last part 0, as the shape and the
+    weight blocks, once the forward image of its minimal double-coset
+    representative is checked to be the canonical tabloid pair (an
+    InvariantError naming mu if not, and nothing stored)."""
+    p, q, _, blocks = _forward(min_double_coset_rep(from_dominant_weight(mu)))
+    lam = tuple(map(len, p))
+    can = _canonical_rows(lam)
     if p != can or q != can:
         raise InvariantError(
-            f"double-coset representative escaped the canonical cell: {p.rows} vs {can.rows}"
+            f"double-coset representative escaped the canonical cell: {p} vs {can}, "
+            f"computing theta1 of the lowered weight {mu}"
         )
-    return LVPair(p.shape(), weight)
+    return lam, blocks
 
 
 def theta1_inverse(lam: Sequence[int], weight: FWeight) -> tuple[int, ...]:

@@ -102,9 +102,6 @@ def chain_runs_by_scan(vs: Sequence[int], n: int) -> list[list[tuple[int, int, i
 
 # --- backward numbering by single decrements ------------------------------------
 
-_DECREMENT_CAP = 1_000_000
-
-
 def settle_by_decrement(
     xs: Sequence[int], vs: Sequence[int], lab: Sequence[int], n: int, d: int
 ) -> list[int]:
@@ -120,10 +117,16 @@ def settle_by_decrement(
     northwest order, whatever the scan order; ``matrixball._bk_labels``
     reaches the same labeling from ``matrixball._seed`` by the min-plus
     relaxation ``matrixball._settle``.
+
+    No settled labeling goes below min(lab) - (m - 1): the chain that sets a
+    label repeats no ball modulo n, so it has at most m - 1 steps, each to a
+    translate by k >= 0.  A label below that floor raises InvariantError
+    naming n, d and the balls.
     """
     lab = list(lab)
     m = len(xs)
-    for _ in range(_DECREMENT_CAP):
+    floor = min(lab, default=0) - (m - 1)
+    while True:
         for t in range(m):
             x, v, lt = xs[t], vs[t], lab[t]
             # smallest shift k with the translate of u strictly southeast of t
@@ -137,10 +140,14 @@ def settle_by_decrement(
                 for u in range(m)
             ):
                 lab[t] -= 1
+                if lab[t] < floor:
+                    raise InvariantError(
+                        f"decrement settle fell below the floor {floor}: n={n}, d={d}, "
+                        f"balls={list(zip(xs, vs))}"
+                    )
                 break
         else:
             return lab
-    raise InvariantError(f"decrement settle exceeded {_DECREMENT_CAP} steps")
 
 
 # --- channel numbering by round-robin relaxation -----------------------------------

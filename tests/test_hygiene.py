@@ -6,8 +6,9 @@ module level (so their import graphs are the ones their headers show), the
 command line alone reads and writes the text formats (``affine`` keeps the
 window format), no library name outside the oracles serves only the tests,
 outside ``matrixball`` only the star probe and the oracles read the raw
-forward and backward kernels, only the checked memo reads the LR kernel, and
-the library checks its invariants without ``assert`` (which ``python -O``
+forward and backward kernels, only the checked memo reads the LR kernel, the
+library keeps exactly the declared memos at their declared sizes, and the
+library checks its invariants without ``assert`` (which ``python -O``
 strips)."""
 import ast
 from pathlib import Path
@@ -209,6 +210,66 @@ def test_lr_kernel_only_behind_its_checked_memo():
         for owner in kernel_readers(ast.parse(path.read_text(), str(path)), {"_lr_kernel"})
     }
     assert found == {"repring._lr_lowered"}, found
+
+
+MEMO_MAKERS = {"lru_cache": 128, "cache": None}  # functools' default sizes
+
+# every memo in src/ambc and its maxsize (None: unbounded); a new or resized
+# memo changes this table, so it shows up in review
+MEMOS = {
+    "matrixball._psi_step": 4096,
+    "repring._lr_lowered": 4096,
+    "jring._coordinates": 4096,
+    "lusztig_vogan._theta_lowered": 4096,
+    "cells._star_probe": None,
+    "cells._probe_altitudes": None,
+}
+
+
+def memo_table(tree: ast.AST) -> list[tuple[str, object]]:
+    """(name, maxsize) of every use of ``lru_cache`` or ``cache``: the name is
+    the function it decorates or the name its wrapper is assigned to, else
+    ``?``; the size is the literal ``maxsize`` or functools' default."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        maker = getattr(node, "id", getattr(node, "attr", None))
+        if maker not in MEMO_MAKERS or not isinstance(node.ctx, ast.Load):
+            continue
+        wrapper, size = node, MEMO_MAKERS[maker]
+        call = parents.get(node)
+        if isinstance(call, ast.Call) and call.func is node:
+            given = {kw.arg: kw.value for kw in call.keywords}.get("maxsize", (call.args or [None])[0])
+            wrapper, size = call, size if given is None else ast.literal_eval(given)
+        owner = parents.get(wrapper)
+        name = "?"
+        if isinstance(owner, SCOPES) and wrapper in owner.decorator_list:
+            name = owner.name
+        elif isinstance(owner, ast.Call) and owner.func is wrapper and isinstance(parents.get(owner), ast.Assign):
+            name = ast.unparse(parents[owner].targets[0])
+        found.append((name, size))
+    return found
+
+
+def test_scanner_finds_memos():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None)\ndef f(): pass\n@functools.lru_cache\ndef g(): pass\n"
+        "@cache\ndef h(): pass\nk = lru_cache(64)(f)\n"
+        "def outer():\n    return lru_cache(maxsize=8)(g)\n"
+    )
+    assert sorted(memo_table(tree), key=str) == sorted(
+        [("f", None), ("g", 128), ("h", None), ("k", 64), ("?", 8)], key=str
+    )
+
+
+def test_memo_inventory():
+    found = [
+        (f"{path.stem}.{name}", size)
+        for path in LIBRARY
+        for name, size in memo_table(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sorted(found, key=str) == sorted(MEMOS.items(), key=str)
 
 
 def assert_lines(tree: ast.AST) -> list[int]:

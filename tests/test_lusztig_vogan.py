@@ -23,10 +23,18 @@ from ambc.lusztig_vogan import (
     w_tableau_zero,
 )
 from ambc import lusztig_vogan, tabloids
+from ambc.cells import upsilon
 from ambc.cli import format_lv_pair
 from ambc.repring import FWeight, fweight_from_rows
 from ambc.tabloids import equal_part_runs
 from conftest import parse_lv_pair, rho_lambda, zero_fweight, zero_pair
+
+
+def theta1_reference(mu):
+    """theta1 without its memo: the forward image of the minimal
+    double-coset representative, read as a pair."""
+    p, _, weight = upsilon(min_double_coset_rep(from_dominant_weight(mu)))
+    return LVPair(p.shape(), weight)
 
 
 class TestWorkedExamples:
@@ -176,6 +184,7 @@ class TestBijection:
             c = rng.randint(-2, 2)
             base = theta1(mu)
             shifted = theta1(tuple(x + c for x in mu))
+            assert shifted == theta1_reference(tuple(x + c for x in mu))
             assert shifted.shape == base.shape
             expected = tuple(
                 tuple(x + c * part for x in block)
@@ -199,11 +208,61 @@ class TestBijection:
 
     def test_representative_outside_the_canonical_cell(self, monkeypatch):
         # theta1's internal check: a representative whose tabloids are not the
-        # canonical pair of its shape is a corrupt state, not a bad input
+        # canonical pair of its shape is a corrupt state, not a bad input; an
+        # earlier entry for (0, 0, 0) would answer without reaching the seam
+        lusztig_vogan._theta_lowered.cache_clear()
         monkeypatch.setattr(lusztig_vogan, "min_double_coset_rep", lambda w: AffinePerm(3, (2, 1, 3)))
-        msg = r"double-coset representative escaped the canonical cell: \(\(1, 3\), \(2,\)\) vs \(\(2, 3\), \(1,\)\)"
+        msg = (
+            r"double-coset representative escaped the canonical cell: \(\(1, 3\), \(2,\)\) vs \(\(2, 3\), \(1,\)\)"
+            r", computing theta1 of the lowered weight \(0, 0, 0\)"
+        )
         with pytest.raises(InvariantError, match=msg):
+            theta1((1, 1, 1))
+
+
+class TestThetaMemo:
+    """theta1 reads one memo keyed on the weight lowered to last part 0."""
+
+    def test_cold_memo_matches_reference_on_the_box(self):
+        lusztig_vogan._theta_lowered.cache_clear()
+        for m in range(1, 6):
+            for mu in itertools.combinations_with_replacement(range(3, -4, -1), m):
+                assert theta1(mu) == theta1_reference(mu), mu
+        info = lusztig_vogan._theta_lowered.cache_info()
+        assert info.hits > 0 and info.misses > 0
+
+    def test_cold_memo_matches_reference_on_seeded_weights(self):
+        lusztig_vogan._theta_lowered.cache_clear()
+        rng = random.Random(30)
+        for _ in range(300):
+            m = rng.randint(1, 9)
+            mu = tuple(sorted((rng.randint(-9, 9) for _ in range(m)), reverse=True))
+            assert theta1(mu) == theta1_reference(mu), mu
+
+    def test_one_entry_per_twist_class(self):
+        lusztig_vogan._theta_lowered.cache_clear()
+        for c in range(-3, 4):
+            theta1((2 + c, 1 + c, c))
+        info = lusztig_vogan._theta_lowered.cache_info()
+        assert (info.misses, info.hits, info.currsize, info.maxsize) == (1, 6, 1, 4096)
+
+    def test_raising_fill_stores_nothing(self, monkeypatch):
+        lusztig_vogan._theta_lowered.cache_clear()
+        monkeypatch.setattr(lusztig_vogan, "min_double_coset_rep", lambda w: AffinePerm(3, (2, 1, 3)))
+        with pytest.raises(InvariantError, match="escaped the canonical cell"):
             theta1((0, 0, 0))
+        assert lusztig_vogan._theta_lowered.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert theta1((0, 0, 0)) == LVPair((3,), FWeight((3,), ((0,),)))
+        assert lusztig_vogan._theta_lowered.cache_info().currsize == 1
+
+    def test_bad_input_reaches_no_fill(self):
+        lusztig_vogan._theta_lowered.cache_clear()
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            theta1((0, 1))
+        with pytest.raises(ValueError, match="must be integers"):
+            theta1((1.5, 0))
+        assert lusztig_vogan._theta_lowered.cache_info().misses == 0
 
 
 class TestWChannels:

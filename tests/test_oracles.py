@@ -163,11 +163,12 @@ class TestSettleByDecrement:
             for spread in (1, 2, 4, 8):
                 self.check(_random_affine_perm(rng, n, spread).window, n)
 
-    def test_cap(self, monkeypatch):
+    def test_cap(self):
         # two balls of one chain against a stream of density 1 have no
-        # settled labeling, so the labels fall until the cap
-        monkeypatch.setattr(oracles, "_DECREMENT_CAP", 100)
-        with pytest.raises(InvariantError, match="exceeded 100 steps"):
+        # settled labeling, so the labels fall until they pass the floor
+        # min(lab) - (m - 1) = 4, a few decrements in
+        msg = r"fell below the floor 4: n=2, d=1, balls=\[\(1, 1\), \(2, 2\)\]"
+        with pytest.raises(InvariantError, match=msg):
             settle_by_decrement([1, 2], [1, 2], [5, 5], 2, 1)
 
 
