@@ -37,6 +37,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false are bools
 
 
+def _all_int(values: Sequence, types=frozenset({int})) -> bool:
+    """True iff every value is an int but no bool, or has a type in ``types``:
+    one C-level pass over the types, then _is_int on the rest."""
+    return set(map(type, values)) <= types or all(type(x) in types or _is_int(x) for x in values)
+
+
 def _trusted(cls, *values):
     """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
     checks, for values the caller has just checked."""
@@ -65,11 +71,15 @@ class PartialPerm:
     window: tuple[Optional[int], ...]
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise ValueError(f"period must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"period must be positive, got {self.n}")
         if len(self.window) != self.n:
             raise ValueError(f"window length {len(self.window)} != period {self.n}")
         object.__setattr__(self, "window", tuple(self.window))
+        if not _all_int(self.window, {int, type(None)}):
+            raise ValueError(f"window entries must be integers or holes: {self.window}")
         seen = set()
         for v in self.window:
             if v is None:
@@ -218,8 +228,7 @@ def check_gl_weight(mu: Sequence[int], m: Optional[int] = None) -> tuple[int, ..
     mu = tuple(mu)
     if not mu:
         raise ValueError("empty weight")
-    # one C-level pass over the types; bools and int subclasses take _is_int
-    if not set(map(type, mu)) <= {int} and not all(_is_int(x) for x in mu):
+    if not _all_int(mu):
         raise ValueError(f"weight entries must be integers: {mu}")
     if any(map(lt, mu, mu[1:])):
         raise ValueError(f"weight is not weakly decreasing: {mu}")

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .affine import AffinePerm, InvariantError, _trusted, inverse, residue
-from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, _psi_step, phi
+from .matrixball import _forward, _phi_win, _psi_perm, _psi_rows, phi
 from .repring import FWeight
 from .tabloids import (
     Blocks,
@@ -137,8 +137,8 @@ def star_tabloid(t: Tabloid, i: int) -> Optional[Tabloid]:
 def _star_probe(n: int, rows: Rows, i: int) -> Optional[Rows]:
     """The rows with residues i and i+1 swapped if every star move at i of
     psi(rows, rows, rho), over the probe altitudes rho, has that Q-tabloid;
-    otherwise None.  Cached per (tabloid, residue); ``star_tabloid`` asks
-    only at residue 1."""
+    otherwise None.  Cached per (tabloid, residue), asked only at residue 1;
+    its psi runs are the only library reads of the backward-step memo."""
     j = i % n + 1
     if any(i in row and j in row for row in rows):
         return None
@@ -196,7 +196,7 @@ def distinguished_involutions(lam: Sequence[int], n: int) -> list[AffinePerm]:
     for first in tabs:
         if first in found:
             continue
-        w = _psi_perm(first, first, zero, n, _psi_step)
+        w = _psi_perm(first, first, zero, n)
         rows = first
         while rows not in found:  # orbits are disjoint: this stops at first
             found[rows] = w

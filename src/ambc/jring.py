@@ -28,8 +28,8 @@ JElement = dict  # AffinePerm -> nonzero integer coefficient
 
 # The factors of J-ring products recur: one cycle of the benchmark's
 # cell_tables workload multiplies 2,732 distinct elements in 10,080 products,
-# and 4096 entries (at most about 17 MB at n = 64) keep them all.  phi and the
-# coordinate maps meet elements that rarely repeat, so they call _forward.
+# and 4096 entries (24 MB at n = 64) keep them all.  phi and the coordinate
+# maps meet elements that rarely repeat, so they call _forward.
 _coordinates = lru_cache(maxsize=4096)(_forward)
 
 

@@ -61,6 +61,7 @@ from .affine import (
     AffinePerm,
     InvariantError,
     PartialPerm,
+    _all_int,
     _ceil_div,
     _trusted,
 )
@@ -93,6 +94,8 @@ class Stream:
             raise ValueError("a stream has at least one ball per period")
         xs = [x for x, _ in self.pairs]
         ys = [y for _, y in self.pairs]
+        if not _all_int(xs + ys):
+            raise ValueError(f"stream balls must be integer pairs: {self.pairs}")
         if not all(1 <= x <= self.n for x in xs) or sorted(set(xs)) != xs:
             raise ValueError(f"stream window positions must be distinct in 1..{self.n}: {xs}")
         # values that clash modulo n rise by n or more, so this check rejects them
@@ -722,13 +725,13 @@ def backward_step(w: PartialPerm, s: Stream) -> PartialPerm:
 
 
 def psi_cache_clear() -> None:
-    """Drop the memo of backward steps that the cell sweeps share."""
+    """Drop the memo of backward steps that the star probe reads."""
     _psi_step.cache_clear()
 
 
 def psi_cache_info():
-    """Hits, misses, maximum and current size of the memo of backward steps
-    that the cell sweeps share; single-triple calls such as ``psi`` skip it."""
+    """Hits, misses, maximum and current size of the memo of backward steps,
+    which only the star probe reads; ``psi`` and every other caller skip it."""
     return _psi_step.cache_info()
 
 
@@ -739,10 +742,9 @@ def _bk_row(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
 
 @lru_cache(maxsize=4096)
 def _psi_step(win: Win, q_row: tuple, p_row: tuple, alt: int, n: int) -> Win:
-    """``_bk_row`` behind a memo.  Sweeps over the triples of one shape, such
-    as the distinguished involutions and the star probe, meet the same lower
-    rows again and hit it; a generic window almost never repeats a step, so
-    ``psi`` and the coordinate maps take ``_bk_row`` without the memo."""
+    """``_bk_row`` behind a memo, which the star probe's altitudes hit on
+    their shared lower rows; every other library caller takes ``_bk_row``,
+    as a memo showed them no gain on a first pass."""
     return _bk_row(win, q_row, p_row, alt, n)
 
 
@@ -770,11 +772,11 @@ def psi(p: Tabloid, q: Tabloid, rho: Sequence[int]) -> AffinePerm:
     return _psi_perm(p.rows, q.rows, rho, p.n)
 
 
-def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int, step=_bk_row) -> AffinePerm:
-    """psi on trusted rows, one backward ``step`` per row; a hole in the
-    result is an InvariantError naming the triple, and AffinePerm checks the
-    window."""
-    win = _psi_rows(p_rows, q_rows, rho, n, step)
+def _psi_perm(p_rows: Rows, q_rows: Rows, rho: tuple[int, ...], n: int) -> AffinePerm:
+    """psi on trusted rows, one backward step per row without the memo; a
+    hole in the result is an InvariantError naming the triple, and AffinePerm
+    checks the window."""
+    win = _psi_rows(p_rows, q_rows, rho, n, _bk_row)
     if any(v is None for v in win):
         raise InvariantError(
             f"backward map produced holes from a full tabloid pair: n={n}, "

@@ -31,7 +31,7 @@ from ambc.lusztig_vogan import (
     theta1,
     theta1_inverse,
 )
-from ambc.matrixball import forward_step, phi, psi, psi_cache_clear
+from ambc.matrixball import forward_step, phi, psi
 from ambc.oracles import brute_schur_product, epsilon_from_families, _random_affine_perm
 from ambc.repring import dim_gl, fweight_from_rows, tensor_gl
 from ambc.tabloids import (
@@ -130,7 +130,6 @@ def test_criterion_4_distinguished_involutions():
                     assert inverse(w) == w
                     assert is_distinguished(w)
                 total += len(members)
-            psi_cache_clear()
         assert total == sum(count_tabloids(lam) for n in range(1, 8) for lam in partitions(n))
         # printed n=9 member
         t9 = Tabloid(9, ((2, 4, 6, 9), (3, 7, 8), (1, 5)))
@@ -213,7 +212,6 @@ def test_criterion_7_lusztig_vogan():
                 for r in sorted(mult):
                     for s in range(1, 2 * r * mult[r] + 4):
                         assert theta1(mu_lambda(lam, r, s)) == LVPair(lam, rho_lambda(lam, r, s))
-            psi_cache_clear()
         # bijectivity over the box of dominant weights with entries in [-3,3]
         for n in range(1, 8):
             seen = set()
@@ -223,7 +221,6 @@ def test_criterion_7_lusztig_vogan():
                 key = (p.shape, p.weight)
                 assert key not in seen
                 seen.add(key)
-            psi_cache_clear()
 
 
 def test_criterion_8_diagonal_cell_weights():
@@ -238,7 +235,6 @@ def test_criterion_8_diagonal_cell_weights():
                     assert xi_epsilon(w) == expected
                     assert epsilon_from_families(w) == expected
                     total += 1
-            psi_cache_clear()
         assert total > 3000
 
 

@@ -26,7 +26,7 @@ from ambc.cells import (
     star_tabloid,
     xi_epsilon,
 )
-from ambc.matrixball import _psi_perm, _psi_step, phi, psi
+from ambc.matrixball import _psi_rows, phi, psi
 from ambc.oracles import epsilon_from_families
 from ambc.tabloids import (
     anticanonical_tabloid,
@@ -167,11 +167,11 @@ class TestDistinguished:
     def test_rotation_matches_definition(self):
         # one psi per omega-orbit, the rest by conjugation: the same list as
         # psi(T, T, 0) over every tabloid, in order (the reference is psi's
-        # row loop on the shared step memo, so lower rows run once)
+        # row loop on the step memo, so lower rows run once)
         for n in range(1, 8):
             for lam in partitions(n):
                 zero = (0,) * len(lam)
-                expected = [_psi_perm(t.rows, t.rows, zero, n, _psi_step) for t in enumerate_tabloids(lam)]
+                expected = [AffinePerm(n, _psi_rows(t.rows, t.rows, zero, n)) for t in enumerate_tabloids(lam)]
                 assert distinguished_involutions(lam, n) == expected
 
     def test_window_conjugation_matches_definition(self):

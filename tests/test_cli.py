@@ -13,7 +13,7 @@ from ambc import cli, matrixball, repring
 from ambc.affine import parse_window, partitions
 from ambc.cli import _COMMANDS, _build_parser, format_triple, main, parse_ints, parse_shape, parse_triple
 from ambc.oracles import OracleReport, self_check
-from ambc.matrixball import DomTriple, phi, psi_cache_clear
+from ambc.matrixball import DomTriple, phi
 from ambc.repring import fweight_from_rows
 from ambc.tabloids import equal_part_runs
 
@@ -82,7 +82,6 @@ class TestForwardBackward:
     def test_backward_many_rows(self, capsys):
         # 80 rows, 40 frames of headroom: a frame per row would overflow
         triple = format_triple(DomTriple(*one_column_triple(80)))
-        psi_cache_clear()
         with stack_headroom(40):
             code, out, err = run(capsys, "ambc-backward", triple)
         assert code == 0 and err == ""

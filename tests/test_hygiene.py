@@ -6,11 +6,14 @@ module level (so their import graphs are the ones their headers show), the
 command line alone reads and writes the text formats (``affine`` keeps the
 window format), no library name outside the oracles serves only the tests,
 outside ``matrixball`` only the star probe and the oracles read the raw
-forward and backward kernels, only the checked memo reads the LR kernel, the
-library keeps exactly the declared memos at their declared sizes, and the
-library checks its invariants without ``assert`` (which ``python -O``
-strips)."""
+forward and backward kernels, only the checked memo reads the LR kernel, only
+the star probe's row loop reads the backward-step memo, the library keeps
+exactly the declared memos at their declared sizes, the library checks its
+invariants without ``assert`` (which ``python -O`` strips), and every
+benchmark record at the root names its command and is labelled by its file
+name."""
 import ast
+import json
 from pathlib import Path
 
 import ambc
@@ -210,6 +213,19 @@ def test_lr_kernel_only_behind_its_checked_memo():
         for owner in kernel_readers(ast.parse(path.read_text(), str(path)), {"_lr_kernel"})
     }
     assert found == {"repring._lr_lowered"}, found
+
+
+def test_step_memo_only_behind_the_star_probe():
+    # psi, the coordinate maps and the distinguished involutions gain nothing
+    # from the memo on a first pass, so they pass _bk_row; the memo is
+    # _psi_rows' default, which only the star probe takes, and the accessors
+    # read its counters
+    found = {
+        f"{path.stem}.{owner}"
+        for path in LIBRARY
+        for owner in kernel_readers(ast.parse(path.read_text(), str(path)), {"_psi_step"})
+    }
+    assert found == {"matrixball._psi_rows", "matrixball.psi_cache_clear", "matrixball.psi_cache_info"}, found
 
 
 MEMO_MAKERS = {"lru_cache": 128, "cache": None}  # functools' default sizes
@@ -422,3 +438,14 @@ def test_no_library_name_serves_only_tests():
         if name[:2] != "__" and name not in read
     ]
     assert not found, found
+
+
+def test_bench_records_name_their_command_and_label():
+    # label: the file name after BENCH_, so a record is found by its label
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    bad = []
+    for path in paths:
+        record = json.loads(path.read_text())
+        if "command" not in record or record.get("label") != path.stem[len("BENCH_"):]:
+            bad.append(path.name)
+    assert paths and not bad, bad

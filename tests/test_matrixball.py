@@ -14,6 +14,7 @@ from ambc.affine import (
     inverse,
     parse_window,
     partitions,
+    shift,
 )
 from ambc.matrixball import (
     DomTriple,
@@ -609,13 +610,15 @@ GOLDEN_WINDOW = AffinePerm(9, (3, 7, 14, 2, 18, 4, 19, 8, 6))
 GOLDEN_TRIPLE = phi(GOLDEN_WINDOW)
 LV_PAIR = theta1((3, 1, 1, 0))
 
-# every entry point that runs the backward map on one triple at a time
+# every entry point that runs the backward map on one triple at a time, and
+# distinguished_involutions, which runs it once per omega-orbit of tabloids
 SINGLE_TRIPLE_CALLS = {
     "psi": lambda: psi(GOLDEN_TRIPLE.p, GOLDEN_TRIPLE.q, GOLDEN_TRIPLE.rho),
     "psi_triple": lambda: psi_triple(GOLDEN_TRIPLE),
     "upsilon_inverse": lambda: upsilon_inverse(*upsilon(GOLDEN_WINDOW)),
     "theta1_inverse": lambda: theta1_inverse(LV_PAIR.shape, LV_PAIR.weight),
     "t_multiply": lambda: t_multiply(GOLDEN_WINDOW, inverse(GOLDEN_WINDOW)),
+    "distinguished_involutions": lambda: distinguished_involutions((3, 2, 1), 6),
 }
 
 
@@ -642,8 +645,9 @@ class TestPsi:
 
     @pytest.mark.parametrize("call", sorted(SINGLE_TRIPLE_CALLS))
     def test_single_triple_calls_skip_the_step_memo(self, call):
-        # a generic window almost never repeats a backward step, so psi and
-        # the coordinate maps neither read nor fill the memo
+        # a generic window almost never repeats a backward step, and the
+        # distinguished involutions gain nothing from the memo on a first
+        # pass, so none of these calls reads or fills it
         run = SINGLE_TRIPLE_CALLS[call]
         psi_cache_clear()
         for _ in range(2):
@@ -652,21 +656,17 @@ class TestPsi:
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_cell_sweeps_share_the_step_memo(self):
-        psi_cache_clear()
-        first = distinguished_involutions((2, 1, 1), 4)
-        assert psi_cache_info().currsize > 0
-        assert distinguished_involutions((2, 1, 1), 4) == first
-        info = psi_cache_info()
-        assert info.hits > 0 and info.currsize <= info.maxsize == 4096
+        # the star probe, the memo's only library reader: its altitudes share
+        # their lower rows
         psi_cache_clear()
         cells._star_probe.cache_clear()
         star_tabloid(Tabloid(5, ((1, 2, 4), (3, 5))), 2)
-        assert psi_cache_info().currsize > 0
+        info = psi_cache_info()
+        assert info.hits > 0 and 0 < info.currsize <= info.maxsize == 4096
 
     def test_row_count_needs_no_recursion(self):
         # 80 rows, 40 frames of headroom: a frame per row would overflow
         p, q, rho = one_column_triple(80)
-        psi_cache_clear()
         with stack_headroom(40):
             w = psi(p, q, rho)
         assert phi(w) == DomTriple(p, q, rho)
@@ -759,6 +759,19 @@ class TestMalformedInputs:
         [
             pytest.param(lambda: PartialPerm(0, ()), "period must be positive, got 0", id="period-zero"),
             pytest.param(lambda: PartialPerm(-2, ()), "period must be positive, got -2", id="period-negative"),
+            pytest.param(lambda: phi(AffinePerm(2.0, (2, 1))), "period must be an integer, got 2.0", id="period-float"),
+            pytest.param(lambda: PartialPerm(True, (1,)), "period must be an integer, got True", id="period-bool"),
+            # a window entry is an int or a hole: no float, even an integral
+            # one, and no bool
+            pytest.param(lambda: phi(AffinePerm(3, (1.5, 2, 3.5))),
+                         r"window entries must be integers or holes: \(1\.5, 2, 3\.5\)", id="window-float"),
+            pytest.param(lambda: phi(AffinePerm(3, (1.0, 2, 3))),
+                         r"window entries must be integers or holes: \(1\.0, 2, 3\)", id="window-integral-float"),
+            pytest.param(lambda: shift(3, 0.5), r"integers or holes: \(1\.5, 2\.5, 3\.5\)", id="shift-float"),
+            pytest.param(lambda: PartialPerm(2, (True, None)), r"integers or holes: \(True, None\)",
+                         id="window-bool"),
+            pytest.param(lambda: Stream(3, ((1, 2.0),)), r"integer pairs: \(\(1, 2\.0\),\)", id="stream-float"),
+            pytest.param(lambda: Stream(3, ((True, 2),)), r"integer pairs: \(\(True, 2\),\)", id="stream-bool"),
             pytest.param(lambda: Stream(3, ((1, 2), (1, 3))), r"distinct in 1\.\.3: \[1, 1\]",
                          id="stream-repeated-position"),
             # Stream has no clash check of its own: values that clash mod n rise by n

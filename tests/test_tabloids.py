@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambc import cells
-from ambc.affine import partitions
+from ambc.affine import AffinePerm, partitions
 from ambc.cells import star_right, star_tabloid
 from ambc.cli import format_ints, parse_shape
-from ambc.matrixball import _psi_perm, _psi_step, phi
+from ambc.matrixball import _psi_rows, phi
 from ambc.tabloids import (
     Tabloid,
     _lch_pair,
@@ -305,7 +305,7 @@ class TestStarTabloid:
                     for diff in dominant_diffs(lam):
                         # the memo-sharing row loop: members share lower rows
                         rho = tuple(d + c for d, c in zip(diff, s))
-                        cell.append(_psi_perm(p.rows, t.rows, rho, 4, _psi_step))
+                        cell.append(AffinePerm(4, _psi_rows(p.rows, t.rows, rho, 4)))
                 for i in range(1, 5):
                     moved = (star_right(w, i) for w in cell)
                     images[t, i] = {phi(ws).q for ws in moved if ws is not None}
